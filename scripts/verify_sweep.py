@@ -17,10 +17,8 @@ from divbounds import (
     resolve_tv_convention,
     vajda_lower_bound,
 )
-from divbounds.oracle import OracleGridSpec
+from divbounds.oracle import VERIFY_DELTAS, VERIFY_GAP_TOL, OracleGridSpec
 from divbounds.serialize import dumps
-
-DELTAS = (0.2, 0.5, 0.9, 1.3, 1.7)
 
 
 def main() -> int:
@@ -54,12 +52,12 @@ def main() -> int:
         if not report.ok:
             print(report.to_json_lines(), file=sys.stderr)
 
-    for delta in DELTAS:
+    for delta in VERIFY_DELTAS:
         spec = OracleGridSpec(support_size=2, step=args.step, constraint_delta=delta)
         oracle_min = min_kl_at_tv(spec)
         bound = vajda_lower_bound(delta)
         gap = oracle_min - bound
-        stage_ok = -1e-9 <= gap <= 5e-3
+        stage_ok = -1e-9 <= gap <= VERIFY_GAP_TOL
         ok &= stage_ok
         print(
             dumps(

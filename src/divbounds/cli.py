@@ -29,8 +29,6 @@ from .measures import (
 )
 from .serialize import dumps
 
-VERIFY_DELTAS = (0.2, 0.5, 0.9, 1.3, 1.7)
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here is exit 1
@@ -145,13 +143,12 @@ def _cmd_reverse_pinsker(args) -> int:
     else:
         if any(v is None for v in four):
             raise DivBoundsError("augmented mode needs all of --m1/--M1/--m2/--M2")
-        bounds = pinsker.AugmentedDensityBounds(
-            emb=DensityBounds(m=args.m1, M=args.M1),
-            proj=DensityBounds(m=args.m2, M=args.M2),
-        )
-        u1 = pinsker.reverse_pinsker(args.delta, args.convention, bounds.emb)
-        u2 = pinsker.reverse_pinsker(args.delta, args.convention, bounds.proj)
-        upper = pinsker.augmented_upper_bound(args.delta, args.convention, bounds)
+        emb = DensityBounds(m=args.m1, M=args.M1)
+        proj = DensityBounds(m=args.m2, M=args.M2)
+        u1 = pinsker.reverse_pinsker(args.delta, args.convention, emb)
+        u2 = pinsker.reverse_pinsker(args.delta, args.convention, proj)
+        # the augmented bound is the larger one-sided bound
+        upper = max(u1, u2)
         print(
             dumps(
                 {
@@ -237,7 +234,7 @@ def _cmd_verify(args) -> int:
     convention_ok = convention is pinsker.PINNED_TV_CONVENTION
     fuzz = oracle.fuzz_sandwich(args.trials, max_support=6, seed=args.seed)
     tightness = []
-    for delta in VERIFY_DELTAS:
+    for delta in oracle.VERIFY_DELTAS:
         spec = oracle.OracleGridSpec(
             support_size=2, step=args.step, constraint_delta=delta
         )
@@ -346,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--gap-tol",
         type=float,
-        default=5e-3,
+        default=oracle.VERIFY_GAP_TOL,
         help="allowed excess of the grid minimum over the lower bound",
     )
     s.set_defaults(func=_cmd_verify)

@@ -4,6 +4,8 @@ import math
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+BISECT_MAX_ITER = 200
+
 
 def bisect_increasing(
     f,
@@ -12,7 +14,7 @@ def bisect_increasing(
     hi: float,
     f_tol: float,
     x_tol: float,
-    max_iter: int = 200,
+    max_iter: int = BISECT_MAX_ITER,
 ) -> tuple[float, float]:
     """Solve f(x) = target for increasing f on (lo, hi) by bisection.
 

@@ -9,13 +9,22 @@ restricting to two-point spaces loses nothing there.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import DiscreteDistribution, TvConvention
-from .pinsker import SandwichReport, check_sandwich_same_dim
+from .measures import TvConvention
+from .pinsker import SandwichReport, check_sandwich_rows
 from .serialize import dumps
+
+# variational TV values at which `divbounds verify` compares the binary-grid
+# minimum with the curve, and the excess of the minimum it allows
+VERIFY_DELTAS = (0.2, 0.5, 0.9, 1.3, 1.7)
+VERIFY_GAP_TOL = 5e-3
+
+# trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
+_FUZZ_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -90,16 +99,20 @@ def min_kl_at_tv(spec: OracleGridSpec) -> float:
     # chunk the p side so the pairwise arrays stay modest
     chunk = max(1, int(2e6 / grid.shape[0]))
     for start in range(0, grid.shape[0], chunk):
-        p = grid[start : start + chunk, None, :]
-        q = grid[None, :, :]
-        tv_var = np.abs(p - q).sum(axis=2)
-        feasible = np.abs(tv_var - target) <= tol
-        if not feasible.any():
+        p = grid[start : start + chunk]
+        # the TV plane one support component at a time, then KL only on
+        # the feasible pairs
+        tv_var = np.abs(p[:, None, 0] - grid[None, :, 0])
+        for c in range(1, spec.support_size):
+            tv_var += np.abs(p[:, None, c] - grid[None, :, c])
+        tv_var -= target
+        np.abs(tv_var, out=tv_var)
+        i, j = np.nonzero(tv_var <= tol)
+        if i.size == 0:
             continue
         found = True
-        kl = _kl_terms(p, q).sum(axis=2)
-        candidate = float(kl[feasible].min())
-        best = min(best, candidate)
+        kl = _kl_terms(p[i], grid[j]).sum(axis=1)
+        best = min(best, float(kl.min()))
     if not found:
         raise DomainError(
             f"no grid pair has variational TV within {tol} of {target}"
@@ -121,14 +134,33 @@ class SandwichViolation:
         return out
 
 
+class FuzzMargin(NamedTuple):
+    """The smallest slack one link of the bound chain showed in a fuzz run.
+
+    ``value`` is the larger side minus the smaller one (negative if the
+    link failed); ``p`` and ``q`` are the pair that showed it.
+    """
+
+    value: float
+    p: tuple
+    q: tuple
+
+
 @dataclass(frozen=True)
 class FuzzReport:
-    """Violations found by randomized sandwich checking."""
+    """Violations found by randomized sandwich checking, and the margins.
+
+    The margins are the smallest vajda - poly, KL - vajda and upper - KL
+    over all trials.
+    """
 
     n_trials: int
     max_support: int
     seed: int
     violations: tuple
+    vajda_minus_poly: FuzzMargin
+    kl_minus_vajda: FuzzMargin
+    upper_minus_kl: FuzzMargin
 
     @property
     def n_violations(self) -> int:
@@ -142,12 +174,33 @@ class FuzzReport:
         return "\n".join(dumps(v.as_dict()) for v in self.violations)
 
 
+def _draw_block(rng, n: int, max_support: int):
+    """n pairs on supports of 2..max_support points, zero-padded to max_support."""
+    k = rng.integers(2, max_support + 1, size=n)
+    used = np.arange(max_support) < k[:, None]
+    used = np.concatenate([used, used], axis=1)
+    draws = rng.exponential(size=(n, 2 * max_support))
+    redraw = np.any((draws <= 0) & used, axis=1)
+    while redraw.any():
+        draws[redraw] = rng.exponential(size=(int(redraw.sum()), 2 * max_support))
+        redraw = np.any((draws <= 0) & used, axis=1)
+    draws = np.where(used, draws, 0.0)
+    p, q = draws[:, :max_support], draws[:, max_support:]
+    return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+
+
+def _drawn_pair(p: np.ndarray, q: np.ndarray, k: np.ndarray, i: int) -> tuple:
+    # row i on the support it was drawn on, without the padding
+    return tuple(p[i, : k[i]].tolist()), tuple(q[i, : k[i]].tolist())
+
+
 def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
     """Random strictly-positive pairs pushed through the sandwich checker.
 
     Supports are drawn uniformly in 2..max_support, probabilities by
-    normalizing exponential draws (uniform on the simplex). Violations
-    are collected, not raised; the expected count is zero.
+    normalizing exponential draws (uniform on the simplex). Trials are
+    drawn and checked in blocks of arrays. Violations are collected, not
+    raised; the expected count is zero.
     """
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
@@ -155,23 +208,31 @@ def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
         raise DomainError(f"max_support must be >= 2, got {max_support}")
     rng = np.random.default_rng(seed)
     violations = []
-    for _ in range(n_trials):
-        k = int(rng.integers(2, max_support + 1))
-        draws = rng.exponential(size=2 * k)
-        while np.any(draws <= 0):
-            draws = rng.exponential(size=2 * k)
-        p = DiscreteDistribution(draws[:k] / draws[:k].sum())
-        q = DiscreteDistribution(draws[k:] / draws[k:].sum())
-        report = check_sandwich_same_dim(p, q)
-        if not report.all_hold:
+    margins = [None, None, None]
+    for start in range(0, n_trials, _FUZZ_BLOCK):
+        k, p, q = _draw_block(rng, min(_FUZZ_BLOCK, n_trials - start), max_support)
+        rows = check_sandwich_rows(p, q)
+        links = (
+            rows.vajda_lb - rows.poly_lb,
+            rows.divergence - rows.vajda_lb,
+            rows.upper - rows.divergence,
+        )
+        for link, gaps in enumerate(links):
+            i = int(np.argmin(gaps))
+            if margins[link] is None or gaps[i] < margins[link].value:
+                margins[link] = FuzzMargin(float(gaps[i]), *_drawn_pair(p, q, k, i))
+        for i in np.flatnonzero(~rows.all_hold):
             violations.append(
-                SandwichViolation(p=tuple(p.probs), q=tuple(q.probs), report=report)
+                SandwichViolation(*_drawn_pair(p, q, k, i), report=rows.report(i))
             )
     return FuzzReport(
         n_trials=n_trials,
         max_support=max_support,
         seed=seed,
         violations=tuple(violations),
+        vajda_minus_poly=margins[0],
+        kl_minus_vajda=margins[1],
+        upper_minus_kl=margins[2],
     )
 
 

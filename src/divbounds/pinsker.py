@@ -22,10 +22,14 @@ and guarded by a test that reruns the scan.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .augmented import gaussian_akl
-from .errors import DomainError
+from .errors import AbsoluteContinuityError, DomainError, InvalidDistributionError
 from .measures import (
+    PROB_SUM_TOL,
     DensityBounds,
     DiscreteDistribution,
     Gaussian1D,
@@ -37,7 +41,13 @@ from .measures import (
     tv_discrete,
 )
 from .serialize import dumps
-from .vajda import delta_max, poly_lower_bound, vajda_lower_bound
+from .vajda import (
+    _poly,
+    delta_max,
+    poly_lower_bound,
+    vajda_lower_bound,
+    vajda_lower_bound_array,
+)
 
 # Scale on which delta enters U; see module docstring and the pinned test.
 PINNED_TV_CONVENTION = TvConvention.SUP
@@ -82,11 +92,32 @@ class SandwichReport:
         return dumps(self.as_dict())
 
 
-def _chain_holds(poly_lb: float, vajda_lb: float, divergence: float, upper: float) -> bool:
+class SandwichRows(NamedTuple):
+    """The bound chains of many discrete pairs, one array entry per pair."""
+
+    poly_lb: np.ndarray
+    vajda_lb: np.ndarray
+    divergence: np.ndarray
+    upper: np.ndarray
+    all_hold: np.ndarray
+
+    def report(self, i: int) -> SandwichReport:
+        """Pair ``i`` as a SandwichReport."""
+        return SandwichReport(
+            poly_lb=float(self.poly_lb[i]),
+            vajda_lb=float(self.vajda_lb[i]),
+            divergence=float(self.divergence[i]),
+            upper=float(self.upper[i]),
+            all_hold=bool(self.all_hold[i]),
+        )
+
+
+def _chain_holds(poly_lb, vajda_lb, divergence, upper):
+    # written with & so that it serves floats and arrays alike
     return (
-        poly_lb <= vajda_lb + REPORT_TOL
-        and vajda_lb <= divergence + REPORT_TOL
-        and divergence <= upper + REPORT_TOL
+        (poly_lb <= vajda_lb + REPORT_TOL)
+        & (vajda_lb <= divergence + REPORT_TOL)
+        & (divergence <= upper + REPORT_TOL)
     )
 
 
@@ -97,9 +128,10 @@ def _curve_lower_bound(delta_var: float) -> float:
     return vajda_lower_bound(min(delta_var, delta_max()))
 
 
-def _phi(x: float) -> float:
-    # x log(x) / (x - 1); log1p keeps it stable as x approaches 1
-    return x * math.log1p(x - 1.0) / (x - 1.0)
+def _phi(x, xp=math):
+    # x log(x) / (x - 1); log1p keeps it stable as x approaches 1. ``xp`` is
+    # math for floats and numpy for arrays.
+    return x * xp.log1p(x - 1.0) / (x - 1.0)
 
 
 def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:
@@ -158,6 +190,72 @@ def check_sandwich_same_dim(
     divergence = kl_discrete(p, q)
     upper = reverse_pinsker(delta_sup, TvConvention.SUP, db)
     return SandwichReport(
+        poly_lb=poly,
+        vajda_lb=vajda,
+        divergence=divergence,
+        upper=upper,
+        all_hold=_chain_holds(poly, vajda, divergence, upper),
+    )
+
+
+def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
+    """``check_sandwich_same_dim`` for every row pair of two (n, k) arrays.
+
+    Row i of ``p`` and row i of ``q`` form one discrete pair. A pair on
+    fewer than k points is padded with zeros in both rows; padding changes
+    none of its quantities. Each row must pass DiscreteDistribution's
+    checks, and p absolutely continuous w.r.t. q with m > 0, as in the
+    scalar checker; a failing row raises the scalar checker's error. For
+    k < 8, poly and KL equal the scalar values, the curve agrees as
+    ``vajda_lower_bound_array`` states, and the upper bound to a few ulps
+    of the two phi values it subtracts (numpy's log1p rounds differently
+    from math.log1p).
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape or p.shape[1] == 0:
+        raise DomainError(
+            f"need two (n, k) arrays of one shape, got {p.shape} and {q.shape}"
+        )
+    for name, arr in (("p", p), ("q", q)):
+        if not np.all(np.isfinite(arr)):
+            raise InvalidDistributionError(f"{name}: probs must be finite")
+        if np.any(arr < 0):
+            raise InvalidDistributionError(f"{name}: negative probability")
+        totals = arr.sum(axis=1)
+        off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
+        if off.size:
+            raise InvalidDistributionError(
+                f"{name}: row {off[0]} sums to {totals[off[0]]!r}, not 1"
+            )
+    support = q > 0
+    if np.any(p[~support] > 0):
+        raise AbsoluteContinuityError(
+            "p puts mass where q does not; relative density undefined"
+        )
+    ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
+    m = np.where(support, ratio, np.inf).min(axis=1)
+    M = np.where(support, ratio, -np.inf).max(axis=1)
+    if np.any(m <= 0):
+        raise DomainError(
+            "reverse Pinsker needs a positive essential infimum, got m = 0"
+        )
+    delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
+    delta_var = 2.0 * delta_sup
+    # m = 1 or M = 1 forces identical measures, where U is 0
+    degenerate = (m == 1.0) | (M == 1.0)
+    if np.any(degenerate & (delta_sup != 0.0)):
+        raise DomainError(
+            "m = 1 or M = 1 forces identical measures, so delta must be 0"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(degenerate, 0.0, delta_sup * (_phi(M, np) - _phi(m, np)))
+    log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+    divergence = (p * log_ratio).sum(axis=1)
+    divergence = np.where(divergence > 0, divergence, 0.0)
+    poly = _poly(delta_var)
+    vajda = vajda_lower_bound_array(np.minimum(delta_var, delta_max()))
+    return SandwichRows(
         poly_lb=poly,
         vajda_lb=vajda,
         divergence=divergence,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import TvConvention, convert_tv
-from .optimize import bisect_increasing, golden_section_minimize
+from .optimize import BISECT_MAX_ITER, bisect_increasing, golden_section_minimize
 
 # Beyond T_MAX, delta(t) is within 1e-12 of its asymptote 2 - 1/t and the
 # hyperbolic terms saturate double precision; larger deltas are rejected
@@ -37,6 +37,16 @@ T_MAX = 500.0
 # Below this, coth t - 1/t loses most of its digits to cancellation; the
 # Taylor branches keep full relative precision.
 _SMALL_T = 1e-4
+
+# _l_at cancels O(1) terms down to O(t^2), so a few ulps of t, or of a
+# hyperbolic function, move it by up to 3e-8 relative just above _SMALL_T,
+# 4e-10 at t = 1e-3 and 2e-12 at t = 2e-2. Below this delta the batched curve
+# therefore repeats the scalar evaluation exactly.
+_EXACT_PATH_DELTA = 1e-2
+# numpy's tanh differs from math.tanh, so _delta_at_array from _delta_at, by
+# up to 4.5e-15 relative (measured over 5e5 t in [1e-4, T_MAX]); comparisons
+# this close to their target are left to the scalar kernel
+_ARRAY_DELTA_MARGIN = 1e-13
 
 POLY_COEFFS = (0.5, 1.0 / 36.0, 1.0 / 270.0, 221.0 / 340200.0)
 
@@ -79,6 +89,14 @@ def _l_at(t: float) -> float:
     return math.log(r) + t / math.tanh(t) - r * r
 
 
+def _delta_at_array(t: np.ndarray) -> np.ndarray:
+    # _delta_at elementwise, up to the rounding of numpy's tanh
+    t2 = t * t
+    c = 1.0 / np.tanh(t) - 1.0 / t
+    series = t * (1.0 - t2 * (1.0 / 9.0 - t2 * (2.0 / 135.0)))
+    return np.where(t < _SMALL_T, series, t * (1.0 - c * c))
+
+
 def _ensure_monotone() -> None:
     """One-time numeric check that delta(t) is strictly increasing.
 
@@ -90,11 +108,7 @@ def _ensure_monotone() -> None:
     if _monotone_verified:
         return
     ts = np.geomspace(1e-6, T_MAX, _MONOTONE_GRID_SIZE)
-    coth_minus = 1.0 / np.tanh(ts) - 1.0 / ts
-    deltas = ts * (1.0 - coth_minus**2)
-    small = ts < _SMALL_T
-    t2 = ts[small] ** 2
-    deltas[small] = ts[small] * (1.0 - t2 * (1.0 / 9.0 - t2 * (2.0 / 135.0)))
+    deltas = _delta_at_array(ts)
     if not np.all(np.diff(deltas) > 0):
         bad = int(np.argmin(np.diff(deltas)))
         raise RuntimeError(
@@ -156,6 +170,56 @@ def vajda_lower_bound(
     return curve_point_for_delta(delta, conv).l_value
 
 
+def _delta_for_bisection(t: np.ndarray, d: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    # delta at every t; for the element indices in ``exact``, the scalar
+    # kernel's value wherever numpy's could compare differently with d
+    fm = _delta_at_array(t)
+    close = exact[np.abs(fm[exact] - d[exact]) <= _ARRAY_DELTA_MARGIN * d[exact]]
+    fm[close] = [_delta_at(x) for x in t[close].tolist()]
+    return fm
+
+
+def vajda_lower_bound_array(delta: np.ndarray) -> np.ndarray:
+    """``vajda_lower_bound`` elementwise over a 1-D array of variational deltas.
+
+    Every delta must lie in [0, delta_max()]. All elements are bisected at
+    once with the scalar routine's bracket [0, T_MAX], halving cap and
+    stopping rule. Below ``_EXACT_PATH_DELTA`` each result equals the
+    scalar one; above it the two agree to 1e-10 relative, as numpy's
+    hyperbolic functions round differently from the math module's.
+    """
+    d = np.asarray(delta, dtype=float)
+    if d.ndim != 1:
+        raise DomainError(f"deltas must form a 1-D array, got shape {d.shape}")
+    if not np.all((d >= 0.0) & (d <= delta_max())):
+        raise DomainError(
+            f"every delta must lie in [0, {delta_max():.15g}] on the variational scale"
+        )
+    _ensure_monotone()
+    active = d > 0.0
+    exact = np.flatnonzero(active & (d < _EXACT_PATH_DELTA))
+    lo = np.zeros_like(d)
+    hi = np.full_like(d, T_MAX)
+    mid = 0.5 * (lo + hi)
+    fm = _delta_for_bisection(mid, d, exact)
+    for _ in range(BISECT_MAX_ITER):
+        below = fm < d
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+        nxt = 0.5 * (lo + hi)
+        # a finished element keeps the midpoint it stopped at
+        np.copyto(mid, nxt, where=active)
+        active &= (nxt != lo) & (nxt != hi)
+        if not active.any():
+            break
+        fm = _delta_for_bisection(mid, d, exact[active[exact]])
+    # _l_at's closed form: every t outside ``exact`` is far above _SMALL_T
+    r = mid / np.sinh(mid)
+    l_values = np.log(r) + mid / np.tanh(mid) - r * r
+    l_values[exact] = [_l_at(x) for x in mid[exact].tolist()]
+    return np.where(d == 0.0, 0.0, l_values)
+
+
 def _gamma_objective(g: float, d: float) -> float:
     # ((d+2-g)/4) log((g-2-d)/(g-2+d)) + ((g+2-d)/4) log((g+2-d)/(g+2+d));
     # the second coefficient and its log argument vanish together at the
@@ -193,6 +257,11 @@ def poly_lower_bound(delta: float) -> float:
     """Degree-8 polynomial lower bound on the curve (variational delta)."""
     if not math.isfinite(delta) or delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
+    return _poly(delta)
+
+
+def _poly(delta):
+    # Horner form in delta^2; serves floats and arrays alike
     d2 = delta * delta
     c0, c1, c2, c3 = POLY_COEFFS
     return d2 * (c0 + d2 * (c1 + d2 * (c2 + d2 * c3)))
@@ -210,12 +279,14 @@ def invert_poly_bound(xi: float) -> float:
     if xi == 0.0:
         return 0.0
     hi = 1.0
-    while poly_lower_bound(hi) < xi:
+    # the bracket holds only finite deltas >= 0, so the bisection evaluates
+    # the polynomial without poly_lower_bound's argument check
+    while _poly(hi) < xi:
         hi *= 2.0
         if hi > 1e80:
             raise DomainError(f"xi = {xi} too large to invert")
     delta, _ = bisect_increasing(
-        poly_lower_bound, xi, lo=0.0, hi=hi, f_tol=1e-10, x_tol=1e-13
+        _poly, xi, lo=0.0, hi=hi, f_tol=1e-10, x_tol=1e-13
     )
     return delta
 

@@ -150,3 +150,26 @@ def random_spd_matrix(n: int, eigenvalues, rng) -> np.ndarray:
     q, _ = np.linalg.qr(g)
     m = q @ np.diag(np.asarray(eigenvalues, dtype=float)) @ q.T
     return 0.5 * (m + m.T)
+
+
+def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float:
+    """Grid minimum of KL at variational TV within ``tol`` of ``target``.
+
+    A frozen copy of the formula ``oracle.min_kl_at_tv`` used before it
+    built the TV plane component by component: the TV and the KL of every
+    ordered pair of grid points, reduced over the support axis. Returns
+    None when no pair is feasible.
+    """
+    best = None
+    chunk = max(1, int(2e6 / grid.shape[0]))
+    for start in range(0, grid.shape[0], chunk):
+        p = grid[start : start + chunk, None, :]
+        q = grid[None, :, :]
+        feasible = np.abs(np.abs(p - q).sum(axis=2) - target) <= tol
+        if not feasible.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+        candidate = float(terms.sum(axis=2)[feasible].min())
+        best = candidate if best is None else min(best, candidate)
+    return best

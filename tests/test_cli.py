@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divbounds
 import oracles
 from divbounds import (
     DensityBounds,
@@ -268,6 +271,8 @@ def test_verify_small_run(capsys):
     assert payload["all_ok"] is True
     assert payload["convention"] == "sup"
     assert payload["fuzz"]["violations"] == 0
+    # the fuzz margins stay off stdout
+    assert list(payload["fuzz"]) == ["trials", "max_support", "seed", "violations"]
     assert len(payload["tightness"]) == 5
 
 
@@ -297,10 +302,14 @@ def test_numbers_round_trip_through_17_digits(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, however this run found it
+    package_root = str(Path(divbounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "divbounds", "poly", "--delta", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poly_lb"] == pytest.approx(0.532131, abs=1e-6)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from divbounds import (
     DomainError,
     PINNED_TV_CONVENTION,
@@ -12,7 +13,8 @@ from divbounds import (
     resolve_tv_convention,
     vajda_lower_bound,
 )
-from divbounds.oracle import OracleGridSpec, SandwichViolation
+from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker
+from divbounds.oracle import OracleGridSpec, SandwichViolation, _simplex_grid
 from divbounds.pinsker import SandwichReport
 
 
@@ -68,6 +70,29 @@ class TestMinKlAtTv:
         spec = OracleGridSpec(step=0.5, constraint_delta=2.0)
         assert min_kl_at_tv(spec) == np.inf
 
+    @pytest.mark.parametrize(
+        "support, step, deltas",
+        [
+            (2, 1e-3, (0.0, 0.2, 1.3, 1.999, 2.0)),
+            (2, 0.05, tuple(np.linspace(0.0, 2.0, 41))),
+            (2, 0.5, (0.0, 0.5, 1.0, 2.0)),
+            (3, 0.02, (0.0, 0.5, 1.7, 2.0)),
+            (3, 0.05, tuple(np.linspace(0.0, 2.0, 21))),
+        ],
+    )
+    def test_equals_frozen_all_pairs_formula(self, support, step, deltas):
+        grid = _simplex_grid(support, step)
+        for delta in deltas:
+            spec = OracleGridSpec(
+                support_size=support, step=step, constraint_delta=float(delta)
+            )
+            want = oracles.min_kl_at_tv_all_pairs(grid, float(delta), step)
+            if want is None:
+                with pytest.raises(DomainError):
+                    min_kl_at_tv(spec)
+            else:
+                assert min_kl_at_tv(spec) == want
+
 
 class TestFuzzSandwich:
     def test_trial_count_validated(self):
@@ -91,6 +116,76 @@ class TestFuzzSandwich:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_clean_across_seed_sweep(self, seed):
         assert fuzz_sandwich(1000, max_support=6, seed=seed).ok
+
+    def test_trials_not_a_multiple_of_the_block(self, monkeypatch):
+        sizes = []
+
+        def recording(p, q):
+            sizes.append(p.shape)
+            return pinsker.check_sandwich_rows(p, q)
+
+        monkeypatch.setattr(oracle, "_FUZZ_BLOCK", 64)
+        monkeypatch.setattr(oracle, "check_sandwich_rows", recording)
+        report = fuzz_sandwich(150, max_support=5, seed=3)
+        assert sizes == [(64, 5), (64, 5), (22, 5)]
+        assert report.n_trials == 150 and report.ok
+
+    def test_forced_violations_keep_their_rows(self, monkeypatch):
+        # a negative slack makes every chain fail, so every trial reports
+        monkeypatch.setattr(pinsker, "REPORT_TOL", -1.0)
+        report = fuzz_sandwich(40, max_support=6, seed=5)
+        assert report.n_violations == 40 and not report.ok
+        lines = report.to_json_lines().split("\n")
+        assert len(lines) == 40
+        for line, violation in zip(lines, report.violations):
+            payload = json.loads(line)
+            assert list(payload) == [
+                "p", "q", "poly_lb", "vajda_lb", "divergence", "upper", "all_hold"
+            ]
+            assert payload["all_hold"] is False
+            # the pair on its own support, not padded to max_support
+            assert 2 <= len(payload["p"]) == len(payload["q"]) <= 6
+            assert min(payload["p"]) > 0 and min(payload["q"]) > 0
+            want = check_sandwich_same_dim(
+                DiscreteDistribution(np.array(violation.p)),
+                DiscreteDistribution(np.array(violation.q)),
+            )
+            assert payload["poly_lb"] == want.poly_lb
+            assert payload["divergence"] == want.divergence
+            assert payload["vajda_lb"] == pytest.approx(want.vajda_lb, rel=1e-10)
+        # with every trial reported, the margins are the minima over them
+        reports = [v.report for v in report.violations]
+        for margin, link in (
+            (report.vajda_minus_poly, lambda r: r.vajda_lb - r.poly_lb),
+            (report.kl_minus_vajda, lambda r: r.divergence - r.vajda_lb),
+            (report.upper_minus_kl, lambda r: r.upper - r.divergence),
+        ):
+            values = [link(r) for r in reports]
+            at = values.index(min(values))
+            assert margin.value == values[at]
+            assert (margin.p, margin.q) == (
+                report.violations[at].p,
+                report.violations[at].q,
+            )
+
+    def test_margins_are_small_and_reproducible(self):
+        report = fuzz_sandwich(3000, max_support=6, seed=9)
+        for margin in (
+            report.vajda_minus_poly,
+            report.kl_minus_vajda,
+            report.upper_minus_kl,
+        ):
+            assert margin.value >= -pinsker.REPORT_TOL
+            assert 2 <= len(margin.p) == len(margin.q) <= 6
+        # two-point pairs attain U, so the upper link is tight to rounding
+        assert abs(report.upper_minus_kl.value) < 1e-12
+        want = check_sandwich_same_dim(
+            DiscreteDistribution(np.array(report.kl_minus_vajda.p)),
+            DiscreteDistribution(np.array(report.kl_minus_vajda.q)),
+        )
+        assert report.kl_minus_vajda.value == pytest.approx(
+            want.divergence - want.vajda_lb, abs=1e-12
+        )
 
     def test_violation_serialization_shape(self):
         from divbounds.serialize import dumps

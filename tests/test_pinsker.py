@@ -9,21 +9,26 @@ from hypothesis import strategies as st
 import oracles
 from divbounds import (
     PINNED_TV_CONVENTION,
+    AbsoluteContinuityError,
     AugmentedDensityBounds,
     DensityBounds,
     DiscreteDistribution,
     DomainError,
     Gaussian1D,
     GaussianND,
+    InvalidDistributionError,
     TvConvention,
     atv_gaussian,
     augmented_upper_bound,
     check_sandwich_augmented,
     check_sandwich_same_dim,
+    density_bounds_discrete,
     kl_discrete,
     resolve_tv_convention,
     reverse_pinsker,
+    tv_discrete,
 )
+from divbounds.pinsker import check_sandwich_rows
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -179,6 +184,81 @@ class TestSandwichSameDim:
         )
         assert report.all_hold
         assert report.vajda_lb <= report.divergence
+
+
+def padded_rows(rng, n, width):
+    """n random pairs on 2..width points, zero-padded to width columns."""
+    k = rng.integers(2, width + 1, size=n)
+    used = np.arange(width) < k[:, None]
+    p = np.where(used, rng.exponential(size=(n, width)), 0.0)
+    q = np.where(used, rng.exponential(size=(n, width)), 0.0)
+    return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+
+
+class TestSandwichRows:
+    def test_rows_match_scalar_checker(self):
+        k, p, q = padded_rows(np.random.default_rng(11), 3000, 6)
+        specials = [
+            ([0.5, 0.5], [0.5, 0.5]),  # identical: U degenerates to 0
+            ([0.9999, 0.0001], [0.0001, 0.9999]),  # past the curve's range
+            ([0.3, 0.0, 0.7], [0.6, 0.0, 0.4]),  # padding inside the row
+            ([0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]),  # near-identical
+        ]
+        for i, (a, b) in enumerate(specials):
+            p[i], q[i] = 0.0, 0.0
+            p[i, : len(a)], q[i, : len(b)] = a, b
+            k[i] = len(a)
+        rows = check_sandwich_rows(p, q)
+        eps = np.finfo(float).eps
+        for i in range(len(k)):
+            pi, qi = disc(*p[i, : k[i]]), disc(*q[i, : k[i]])
+            want = check_sandwich_same_dim(pi, qi)
+            got = rows.report(i)
+            assert got.poly_lb == want.poly_lb
+            assert got.divergence == want.divergence
+            assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-10, abs=0.0)
+            assert got.all_hold == want.all_hold
+            # U subtracts two phi values; numpy's log1p may differ from
+            # math.log1p by an ulp of each
+            if want.upper == 0.0:
+                assert got.upper == 0.0
+                continue
+            db = density_bounds_discrete(pi, qi)
+            scale = tv_discrete(pi, qi, SUP) * (
+                oracles.phi_ratio_weight(db.M) + oracles.phi_ratio_weight(db.m)
+            )
+            assert abs(got.upper - want.upper) <= 8 * eps * scale
+
+    def test_report_carries_the_row(self):
+        p = np.array([[0.75, 0.25], [0.5, 0.5]])
+        q = np.array([[0.5, 0.5], [0.5, 0.5]])
+        rows = check_sandwich_rows(p, q)
+        got = rows.report(0)
+        want = check_sandwich_same_dim(disc(0.75, 0.25), disc(0.5, 0.5))
+        assert (got.poly_lb, got.divergence, got.all_hold) == (
+            want.poly_lb,
+            want.divergence,
+            want.all_hold,
+        )
+        assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-10, abs=0.0)
+        assert got.upper == pytest.approx(want.upper, rel=1e-13)
+        assert type(got.divergence) is float and type(got.all_hold) is bool
+        assert rows.report(1).upper == 0.0
+
+    @pytest.mark.parametrize(
+        "p, q, error",
+        [
+            ([[0.5, 0.6]], [[0.5, 0.5]], InvalidDistributionError),
+            ([[1.5, -0.5]], [[0.5, 0.5]], InvalidDistributionError),
+            ([[float("nan"), 1.0]], [[0.5, 0.5]], InvalidDistributionError),
+            ([[0.5, 0.5]], [[1.0, 0.0]], AbsoluteContinuityError),
+            ([[1.0, 0.0]], [[0.5, 0.5]], DomainError),  # m = 0
+            ([[0.5, 0.5]], [[0.5, 0.5, 0.0]], DomainError),  # shapes differ
+        ],
+    )
+    def test_rejects_what_the_scalar_checker_rejects(self, p, q, error):
+        with pytest.raises(error):
+            check_sandwich_rows(np.array(p), np.array(q))
 
 
 class TestSandwichAugmented:

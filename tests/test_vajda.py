@@ -22,6 +22,7 @@ from divbounds import (
     reid_lower_bound,
     vajda_lower_bound,
 )
+from divbounds.vajda import _EXACT_PATH_DELTA, delta_max, vajda_lower_bound_array
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -109,6 +110,27 @@ class TestVajdaLowerBound:
         p = curve_at_parameter(t)
         back = curve_point_for_delta(p.delta)
         assert back.t == pytest.approx(t, rel=1e-8)
+
+
+class TestVajdaLowerBoundArray:
+    def test_matches_scalar_on_log_grid(self):
+        deltas = np.concatenate(
+            [[0.0], np.geomspace(1e-6, delta_max(), 3000), [1e-300, 1e-60]]
+        )
+        batched = vajda_lower_bound_array(deltas)
+        scalar = np.array([vajda_lower_bound(float(d)) for d in deltas])
+        rel = np.abs(batched - scalar) / np.where(scalar > 0, scalar, 1.0)
+        assert rel.max() <= 1e-10
+        # where L(t) is not smooth at the ulp scale the paths coincide
+        small = deltas < _EXACT_PATH_DELTA
+        assert np.array_equal(batched[small], scalar[small])
+
+    @pytest.mark.parametrize(
+        "deltas", [[-1e-3], [1.9999999], [float("nan")], [[0.5, 0.6]]]
+    )
+    def test_rejects_out_of_domain(self, deltas):
+        with pytest.raises(DomainError):
+            vajda_lower_bound_array(np.array(deltas))
 
 
 class TestReidLowerBound:
