@@ -3,7 +3,7 @@
 
 Builds an n-D Gaussian with a rotated spectrum, then walks the whole
 chain: closed-form augmented KL, the Monte-Carlo projection search that
-upper-witnesses it, the augmented TV estimate, the polynomial inversion
+upper-witnesses it, the closed-form augmented TV, the polynomial inversion
 that converts the KL value into a TV upper bound, and the sandwich report
 with user-style density bounds.
 """
@@ -53,8 +53,7 @@ def main() -> int:
     search = search_projection_divergence(
         p, q, objective="kl", budget=args.budget, seed=args.seed
     )
-    atv = atv_gaussian(p, q, budget=max(args.budget // 50, 1), seed=args.seed,
-                       conv=TvConvention.SUP)
+    atv = atv_gaussian(p, q, TvConvention.SUP)
     bounds = AugmentedDensityBounds(
         emb=DensityBounds(0.1, 50.0), proj=DensityBounds(0.1, 50.0)
     )

@@ -10,14 +10,8 @@ stage fails.
 import argparse
 import sys
 
-from divbounds import (
-    PINNED_TV_CONVENTION,
-    fuzz_sandwich,
-    min_kl_at_tv,
-    resolve_tv_convention,
-    vajda_lower_bound,
-)
-from divbounds.oracle import VERIFY_DELTAS, VERIFY_GAP_TOL, OracleGridSpec
+from divbounds import PINNED_TV_CONVENTION, fuzz_sandwich, resolve_tv_convention
+from divbounds.oracle import VERIFY_GAP_TOL, verify_tightness
 from divbounds.serialize import dumps
 
 
@@ -52,25 +46,9 @@ def main() -> int:
         if not report.ok:
             print(report.to_json_lines(), file=sys.stderr)
 
-    for delta in VERIFY_DELTAS:
-        spec = OracleGridSpec(support_size=2, step=args.step, constraint_delta=delta)
-        oracle_min = min_kl_at_tv(spec)
-        bound = vajda_lower_bound(delta)
-        gap = oracle_min - bound
-        stage_ok = -1e-9 <= gap <= VERIFY_GAP_TOL
-        ok &= stage_ok
-        print(
-            dumps(
-                {
-                    "stage": "tightness",
-                    "delta": delta,
-                    "oracle_min": oracle_min,
-                    "vajda_lb": bound,
-                    "gap": gap,
-                    "ok": stage_ok,
-                }
-            )
-        )
+    for row in verify_tightness(args.step, VERIFY_GAP_TOL):
+        ok &= row["ok"]
+        print(dumps({"stage": "tightness", **row}))
 
     print(dumps({"stage": "summary", "all_ok": bool(ok)}))
     return 0 if ok else 2

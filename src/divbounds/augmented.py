@@ -14,10 +14,12 @@ the 1-D KL against the nearest end. Note the upper branch applies when
 sigma^2 exceeds the *largest* eigenvalue: stating it with the smallest
 (as sometimes printed) would contradict the zero branch for variances
 inside the range, and the variance-scan oracle in the test suite confirms
-the largest-eigenvalue form.
+the largest-eigenvalue form. The augmented TV has the same closed form,
+with the 1-D TV in place of the 1-D KL.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,6 @@ from .measures import (
     kl_gaussian_1d,
     tv_gaussian_1d,
 )
-from .optimize import golden_section_minimize
 from .serialize import dumps
 
 ORTHONORMALITY_TOL = 1e-10
@@ -273,38 +274,24 @@ def search_projection_divergence(
 
 
 def atv_gaussian(
-    p: Gaussian1D, q: GaussianND, budget: int, seed: int, conv: TvConvention
+    p: Gaussian1D, q: GaussianND, conv: TvConvention, *, budget=None, seed=None
 ) -> float:
     """Augmented total variation between a 1-D and an n-D Gaussian.
 
     Over mean-matched pushforwards the TV depends only on the variance s
-    of the 1-D image, is unimodal in s around sigma^2, and s ranges over
-    the covariance's eigenvalue interval, so a golden-section scan of that
-    interval computes the infimum; exactly 0 when sigma^2 lies inside. A
-    projection search with the same objective cross-checks the scan (any
-    frame it finds is a feasible upper witness, so the smaller value is
-    returned).
+    of the 1-D image, which ranges over [zeta_min, zeta_max], and grows
+    with |log(s / sigma^2)|. So it is 0 when sigma^2 lies inside, else
+    exactly ``tv_gaussian_1d(p, Gaussian1D(p.mu, end), conv)`` at the end
+    nearest sigma^2, with that function's accuracy contract.
+
+    ``budget`` and ``seed`` are deprecated and ignored; passing either warns.
     """
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    if budget is not None or seed is not None:
+        warnings.warn("atv_gaussian ignores budget and seed", DeprecationWarning, 2)
     s = p.sigma2
     zeta_min = float(q.eigenvalues[0])
     zeta_max = float(q.eigenvalues[-1])
     if zeta_min <= s <= zeta_max:
         return 0.0
-
-    def tv_at(variance: float) -> float:
-        return tv_gaussian_1d(p, Gaussian1D(mu=p.mu, sigma2=variance), conv)
-
-    if zeta_max - zeta_min < 1e-14 * zeta_max:
-        scanned = tv_at(zeta_min)
-    else:
-        x_tol = max(1e-9 * (zeta_max - zeta_min), 1e-14 * zeta_max)
-        _, scanned = golden_section_minimize(tv_at, zeta_min, zeta_max, x_tol=x_tol)
-        # the minimum sits exactly on an eigenvalue whenever sigma^2 is
-        # outside the spectrum; the endpoints beat the interior probes then
-        scanned = min(scanned, tv_at(zeta_min), tv_at(zeta_max))
-    searched = search_projection_divergence(
-        p, q, objective="tv", budget=budget, seed=seed, conv=conv
-    ).best_value
-    return min(scanned, searched)
+    end = zeta_min if s < zeta_min else zeta_max
+    return tv_gaussian_1d(p, Gaussian1D(mu=p.mu, sigma2=end), conv)

@@ -213,9 +213,7 @@ def _cmd_sandwich(args) -> int:
         )
         atv = args.atv
         if atv is None:
-            atv = augmented.atv_gaussian(
-                p, q, budget=args.budget, seed=args.seed, conv=args.convention
-            )
+            atv = augmented.atv_gaussian(p, q, args.convention)
         report = pinsker.check_sandwich_augmented(
             p, q, bounds, atv=atv, conv=args.convention
         )
@@ -230,46 +228,11 @@ def _cmd_sandwich(args) -> int:
 def _cmd_verify(args) -> int:
     if args.gap_tol <= 0:
         raise DivBoundsError(f"--gap-tol must be positive, got {args.gap_tol}")
-    convention = oracle.resolve_tv_convention(step=args.step)
-    convention_ok = convention is pinsker.PINNED_TV_CONVENTION
-    fuzz = oracle.fuzz_sandwich(args.trials, max_support=6, seed=args.seed)
-    tightness = []
-    for delta in oracle.VERIFY_DELTAS:
-        spec = oracle.OracleGridSpec(
-            support_size=2, step=args.step, constraint_delta=delta
-        )
-        oracle_min = oracle.min_kl_at_tv(spec)
-        bound = vajda.vajda_lower_bound(delta)
-        gap = oracle_min - bound
-        tightness.append(
-            {
-                "delta": delta,
-                "oracle_min": oracle_min,
-                "vajda_lb": bound,
-                "gap": gap,
-                "ok": -1e-9 <= gap <= args.gap_tol,
-            }
-        )
-    all_ok = convention_ok and fuzz.ok and all(row["ok"] for row in tightness)
-    print(
-        dumps(
-            {
-                "convention": convention.value,
-                "convention_matches_pinned": convention_ok,
-                "fuzz": {
-                    "trials": fuzz.n_trials,
-                    "max_support": fuzz.max_support,
-                    "seed": fuzz.seed,
-                    "violations": fuzz.n_violations,
-                },
-                "tightness": tightness,
-                "all_ok": all_ok,
-            }
-        )
-    )
+    summary, fuzz = oracle.run_verify(args.trials, args.seed, args.step, args.gap_tol)
+    print(dumps(summary))
     if not fuzz.ok:
         print(fuzz.to_json_lines(), file=sys.stderr)
-    return 0 if all_ok else 2
+    return 0 if summary["all_ok"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m2", type=float, default=None)
     s.add_argument("--M2", type=float, default=None)
     s.add_argument("--atv", type=float, default=None)
-    s.add_argument("--budget", type=int, default=64)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--budget", type=int, help="deprecated; ignored")
+    s.add_argument("--seed", type=int, help="deprecated; ignored")
     s.set_defaults(func=_cmd_sandwich)
 
     s = sub.add_parser("verify", help="run the full brute-force oracle suite")

@@ -15,13 +15,18 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import TvConvention
-from .pinsker import SandwichReport, check_sandwich_rows
+from .pinsker import PINNED_TV_CONVENTION, SandwichReport, check_sandwich_rows
 from .serialize import dumps
+from .vajda import vajda_lower_bound
 
-# variational TV values at which `divbounds verify` compares the binary-grid
-# minimum with the curve, and the excess of the minimum it allows
+# `divbounds verify`: the variational TV values at which it compares the
+# binary-grid minimum with the curve, the excess of the minimum it allows,
+# the shortfall it forgives (rounding in the grid KL and in the curve), and
+# the largest support its fuzz stage draws
 VERIFY_DELTAS = (0.2, 0.5, 0.9, 1.3, 1.7)
 VERIFY_GAP_TOL = 5e-3
+VERIFY_GAP_FLOOR = -1e-9
+VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
@@ -267,3 +272,41 @@ def resolve_tv_convention(step: float = 1e-3) -> TvConvention:
         "neither TV convention validates the reverse-Pinsker bound on the "
         "binary grid; the upper-bound implementation must be wrong"
     )
+
+
+def verify_tightness(step: float, gap_tol: float) -> list:
+    """Rows of `divbounds verify` comparing grid minimum and curve at each
+    of VERIFY_DELTAS; a row is ok for a gap in [VERIFY_GAP_FLOOR, gap_tol]."""
+    rows = []
+    for delta in VERIFY_DELTAS:
+        minimum = min_kl_at_tv(OracleGridSpec(step=step, constraint_delta=delta))
+        lb = vajda_lower_bound(delta)
+        gap = minimum - lb
+        ok = VERIFY_GAP_FLOOR <= gap <= gap_tol
+        rows.append(dict(delta=delta, oracle_min=minimum, vajda_lb=lb, gap=gap, ok=ok))
+    return rows
+
+
+def run_verify(trials: int, seed: int, step: float, gap_tol: float):
+    """The `divbounds verify` workflow: convention scan, fuzz, tightness.
+
+    Returns (summary, fuzz): the object the command prints, and the
+    FuzzReport whose violations it writes to stderr.
+    """
+    convention = resolve_tv_convention(step=step)
+    fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)
+    tightness = verify_tightness(step, gap_tol)
+    matches = convention is PINNED_TV_CONVENTION
+    summary = {
+        "convention": convention.value,
+        "convention_matches_pinned": matches,
+        "fuzz": {
+            "trials": fuzz.n_trials,
+            "max_support": fuzz.max_support,
+            "seed": fuzz.seed,
+            "violations": fuzz.n_violations,
+        },
+        "tightness": tightness,
+        "all_ok": matches and fuzz.ok and all(row["ok"] for row in tightness),
+    }
+    return summary, fuzz

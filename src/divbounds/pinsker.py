@@ -274,7 +274,7 @@ def check_sandwich_augmented(
     """Evaluate the bound chain for a 1-D vs n-D Gaussian pair.
 
     The caller supplies the augmented total variation ``atv`` (on scale
-    ``conv``; typically the ``augmented.atv_gaussian`` estimate) and the
+    ``conv``; typically the closed form ``augmented.atv_gaussian``) and the
     density bounds, which are not computable in closed form here (for
     untruncated Gaussians they degenerate; truncation makes them finite,
     and the caller asserts them). The checker only reports whether the

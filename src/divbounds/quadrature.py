@@ -3,6 +3,8 @@
 A 7-point Gauss / 15-point Kronrod pair gives an integral estimate and an
 error estimate per interval; the interval with the largest error is split
 until the summed error estimate meets the requested absolute tolerance.
+No runtime path uses it: the test suite keeps it as an oracle that shares
+no code with the closed-form Gaussian TV.
 """
 
 import heapq

@@ -1,16 +1,19 @@
 """Independent oracles and frozen reference values for the test suite.
 
 Everything here is deliberately implemented without calling the library's
-own computation paths: TV between Gaussians comes from normal CDFs at the
-density crossing points (and from Monte Carlo), the polynomial bound from
-exact rational arithmetic, and the curve constants were computed once at
-50-digit precision and frozen.
+own computation paths: TV between Gaussians comes from 50-digit mpmath
+values frozen below, from adaptive quadrature of |f_a - f_b| (the library's
+quadrature module, which no runtime path uses) and from Monte Carlo; the
+polynomial bound comes from exact rational arithmetic, and the curve
+constants were computed once at 50-digit precision and frozen.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from divbounds.quadrature import integrate_adaptive
 
 # --- frozen 50-digit-precision curve values (nearest doubles) ------------
 
@@ -34,8 +37,48 @@ VAJDA_AT = {
 # sup-convention TV between N(0,1) and N(1,1): 2 Phi(1/2) - 1
 TV_EQUAL_VAR_MEAN_SHIFT = 0.38292492254802621
 
-# sup-convention TV between N(0, 0.25) and N(0, 1) via the CDF oracle
-TV_QUARTER_VS_UNIT = 0.32267456883476866
+# sup-convention TV between N(0, 0.25) and N(0, 1), 50-digit mpmath
+TV_QUARTER_VS_UNIT = 0.32267456883476864
+
+# (mu_a, s_a, mu_b, s_b, sup-convention TV) for 1-D Gaussian pairs: mpmath
+# at 50 digits (normal CDFs at the crossings of the two densities, found
+# from the quadratic at that precision), rounded to the nearest double;
+# 80 digits gave the same doubles
+TV_GAUSS_SUP_REF = (
+    # near-identical: variance ratio 1 +/- 1e-9, or a mean shift of 1e-9
+    (0.0, 1.0, 0.0, 1.000000001, 2.4197074441890547e-10),
+    (0.0, 1.0, 0.0, 0.999999999, 2.4197071779672926e-10),
+    (2.0, 3.0, 2.000000001, 3.0000000030000002, 3.1815123141884045e-10),
+    (0.0, 1.0, 1e-09, 1.0, 3.989422804014327e-10),
+    # near-disjoint
+    (0.0, 1.0, 12.0, 1.0, 0.9999999980268247),
+    (0.0, 1.0, 40.0, 1.0, 1.0),
+    (0.0, 1.0, 10.0, 0.0001, 1.0),
+    (0.0, 1e-06, 0.0, 1000000.0, 0.9999956590970305),
+    # variance ratios up to e^+-40
+    (0.0, 1.0, 0.0, 2.3538526683702e17, 0.9999999893449096),
+    (0.0, 1.0, 0.0, 4.248354255291589e-18, 0.9999999893449096),
+    (0.3, 1.0, -0.2, 485165195.4097903, 0.999830257565602),
+    (0.0, 1.0, 1.0, 4.5399929762484854e-05, 0.9882743699084428),
+    (1000.0, 2.3538526683702e17, 0.0, 1.0, 0.9999999893449096),
+    # large common mean
+    (10000.0, 1.0, 10000.5, 2.0, 0.22079727790047998),
+    (10000.0, 1.0, 10000.0, 1.5, 0.0977761420084982),
+    (10000.0, 1.0, 10000.0, 1.000000001, 2.4197074441890547e-10),
+    # two crossings; an uncentred quadratic loses both to cancellation
+    (
+        -0.4522178775034811,
+        8.037058038467513e-07,
+        -0.4522178775034811,
+        3.628864459467805e-24,
+        0.999999989023393,
+    ),
+)
+
+# that last pair as (mu, s_a, s_b), and the distance from mu to each of its
+# crossings, sqrt(s_a s_b log(s_a / s_b) / (s_a - s_b)), at 50 digits
+CROSSING_PAIR = (-0.4522178775034811, 8.037058038467513e-07, 3.628864459467805e-24)
+CROSSING_PAIR_HALF_WIDTH = 1.2038834822914637e-11
 
 # closed-form KL values
 KL_GAUSS_QUARTER_VS_UNIT = 0.31814718055994531  # (1/2)(0.25 - 1 + log 4)
@@ -71,12 +114,10 @@ def poly_bound_fraction(delta: Fraction) -> Fraction:
     return acc
 
 
-def normal_cdf(x: float, mu: float = 0.0, sigma2: float = 1.0) -> float:
-    return 0.5 * (1.0 + math.erf((x - mu) / math.sqrt(2.0 * sigma2)))
-
-
 def _log_density_diff_roots(mu_a, s_a, mu_b, s_b) -> list[float]:
-    # roots of log f_a(x) - log f_b(x), a quadratic in x
+    # roots of log f_a(x) - log f_b(x), a quadratic in x, in the textbook
+    # uncentred form; only used as quadrature cut points, where a lost
+    # root costs convergence speed, not the value
     ca = 0.5 / s_b - 0.5 / s_a
     cb = mu_a / s_a - mu_b / s_b
     cc = mu_b**2 / (2 * s_b) - mu_a**2 / (2 * s_a) + 0.5 * math.log(s_b / s_a)
@@ -90,28 +131,40 @@ def _log_density_diff_roots(mu_a, s_a, mu_b, s_b) -> list[float]:
     return sorted([q / ca, cc / q])
 
 
-def tv_gaussian_sup_cdf(mu_a, s_a, mu_b, s_b) -> float:
-    """TV (SUP convention) between 1-D Gaussians from CDFs at crossings.
+def tv_gaussian_sup_quadrature(mu_a, s_a, mu_b, s_b) -> float:
+    """TV (SUP convention) between 1-D Gaussians by adaptive quadrature.
 
-    On each interval delimited by the density crossings the sign of
-    f_a - f_b is constant, so the integral of |f_a - f_b| telescopes into
-    CDF differences. Serves as the quadrature-free reference.
+    Integrates |f_a - f_b| with Gauss-Kronrod panels split at the density
+    crossings and at mu +/- k sigma of both densities (a panel thousands of
+    sigmas wide can hide a whole bump from the nodes), over
+    mu +/- 10 sigma, to an absolute error below 1e-9 on the integral.
     """
     if mu_a == mu_b and s_a == s_b:
         return 0.0
-    cuts = _log_density_diff_roots(mu_a, s_a, mu_b, s_b)
-    edges = [-math.inf, *cuts, math.inf]
+    sd_a, sd_b = math.sqrt(s_a), math.sqrt(s_b)
+    lo = min(mu_a - 10.0 * sd_a, mu_b - 10.0 * sd_b)
+    hi = max(mu_a + 10.0 * sd_a, mu_b + 10.0 * sd_b)
+    cuts = set(_log_density_diff_roots(mu_a, s_a, mu_b, s_b))
+    for mu, sd in ((mu_a, sd_a), (mu_b, sd_b)):
+        for k in (1.0, 2.0, 4.0, 8.0):
+            cuts.update((mu - k * sd, mu + k * sd))
+    edges = [lo]
+    for cut in sorted(c for c in cuts if lo < c < hi):
+        if cut - edges[-1] > 1e-13 * (hi - lo):
+            edges.append(cut)
+    edges.append(hi)
 
-    def cdf_a(x):
-        return 1.0 if x == math.inf else (0.0 if x == -math.inf else normal_cdf(x, mu_a, s_a))
+    def pdf(x, mu, s):
+        return math.exp(-((x - mu) ** 2) / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
 
-    def cdf_b(x):
-        return 1.0 if x == math.inf else (0.0 if x == -math.inf else normal_cdf(x, mu_b, s_b))
+    def integrand(x):
+        return abs(pdf(x, mu_a, s_a) - pdf(x, mu_b, s_b))
 
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        total += abs((cdf_a(hi) - cdf_a(lo)) - (cdf_b(hi) - cdf_b(lo)))
-    return 0.5 * total
+    for left, right in zip(edges, edges[1:]):
+        value, _ = integrate_adaptive(integrand, left, right, abs_tol=1e-9 / len(edges))
+        total += value
+    return min(max(0.5 * total, 0.0), 1.0)
 
 
 def tv_gaussian_sup_monte_carlo(mu_a, s_a, mu_b, s_b, n=4_000_000, seed=0) -> float:

@@ -24,14 +24,13 @@ from divbounds import (
     fuzz_sandwich,
     gaussian_akl,
     invert_poly_bound,
-    min_kl_at_tv,
     poly_lower_bound,
     reid_lower_bound,
     resolve_tv_convention,
     search_projection_divergence,
     vajda_lower_bound,
 )
-from divbounds.oracle import OracleGridSpec
+from divbounds.oracle import VERIFY_GAP_FLOOR, VERIFY_GAP_TOL, verify_tightness
 
 SUP = TvConvention.SUP
 
@@ -100,18 +99,20 @@ def test_criterion_2_polynomial_ordering():
 
 def test_criterion_3_oracle_tightness():
     start = time.perf_counter()
-    gaps = {}
-    for delta in ORACLE_DELTAS:
-        spec = OracleGridSpec(support_size=2, step=1e-3, constraint_delta=delta)
-        gaps[delta] = min_kl_at_tv(spec) - vajda_lower_bound(delta)
+    rows = verify_tightness(step=1e-3, gap_tol=VERIFY_GAP_TOL)
     elapsed = time.perf_counter() - start
-    ok = all(-1e-9 <= g <= 5e-3 for g in gaps.values()) and elapsed < 60.0
-    detail = ", ".join(f"d={d}: {g:.2e}" for d, g in gaps.items())
+    ok = (
+        [row["delta"] for row in rows] == list(ORACLE_DELTAS)
+        and all(row["ok"] for row in rows)
+        and elapsed < 60.0
+    )
+    detail = ", ".join(f"d={row['delta']}: {row['gap']:.2e}" for row in rows)
     _report(
         3,
         "binary grid attains the lower bound",
         ok,
-        f"gaps in [-1e-9, 5e-3]: {detail}; {elapsed:.1f}s (< 60s)",
+        f"gaps in [{VERIFY_GAP_FLOOR:g}, {VERIFY_GAP_TOL:g}]: {detail}; "
+        f"{elapsed:.1f}s (< 60s)",
     )
 
 
@@ -205,7 +206,10 @@ def test_criterion_6_augmented_sandwich_randomized():
                 M=float(np.exp(rng.uniform(np.log(16.0), np.log(200.0)))),
             ),
         )
-        atv = atv_gaussian(p, q, budget=8, seed=int(rng.integers(2**31)), conv=SUP)
+        # the draw that once seeded the ATV search; it keeps the same 50
+        # configurations
+        rng.integers(2**31)
+        atv = atv_gaussian(p, q, SUP)
         report = check_sandwich_augmented(p, q, bounds, atv=atv, conv=SUP)
         if not report.all_hold:
             failures.append((trial, report))

@@ -247,18 +247,44 @@ class TestSearchProjectionDivergence:
 
 class TestAtvGaussian:
     def test_inside_spectrum_zero(self, q3):
-        assert atv_gaussian(Gaussian1D(0.0, 2.0), q3, budget=4, seed=0, conv=SUP) == 0.0
+        assert atv_gaussian(Gaussian1D(0.0, 2.0), q3, SUP) == 0.0
 
     def test_below_spectrum_hits_nearest_eigenvalue(self, q3):
         p = Gaussian1D(mu=0.0, sigma2=0.25)
-        got = atv_gaussian(p, q3, budget=16, seed=2, conv=SUP)
-        at_boundary = tv_gaussian_1d(p, Gaussian1D(0.0, 1.0), SUP)
-        assert got == pytest.approx(at_boundary, abs=1e-6)
-        assert got <= at_boundary + 1e-12  # never above the feasible witness
+        got = atv_gaussian(p, q3, SUP)
+        assert got == tv_gaussian_1d(p, Gaussian1D(0.0, 1.0), SUP)
+
+    def test_equals_tv_at_nearest_end_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            n = int(rng.integers(2, 6))
+            eigs = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+            q = GaussianND(
+                nu=rng.normal(size=n), sigma=oracles.random_spd_matrix(n, eigs, rng)
+            )
+            zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+            end = (zeta_min, zeta_max)[trial % 2]
+            sigma2 = end * float(np.exp(rng.uniform(0.01, 10.0))) ** (
+                -1 if trial % 2 == 0 else 1
+            )
+            p = Gaussian1D(mu=float(rng.normal()), sigma2=sigma2)
+            conv = (SUP, TvConvention.VARIATIONAL)[trial % 3 == 0]
+            assert atv_gaussian(p, q, conv) == tv_gaussian_1d(
+                p, Gaussian1D(p.mu, end), conv
+            )
+
+    def test_tv_search_never_below_atv(self, q3):
+        for sigma2, seed in ((0.25, 0), (0.9, 1), (2.0, 2), (9.0, 3), (40.0, 4)):
+            p = Gaussian1D(mu=0.3, sigma2=sigma2)
+            atv = atv_gaussian(p, q3, SUP)
+            found = search_projection_divergence(
+                p, q3, "tv", budget=50, seed=seed, conv=SUP
+            ).best_value
+            assert found >= atv - 1e-15
 
     def test_grid_scan_oracle(self, q3):
         p = Gaussian1D(mu=0.0, sigma2=9.0)
-        got = atv_gaussian(p, q3, budget=8, seed=2, conv=SUP)
+        got = atv_gaussian(p, q3, SUP)
         scan = min(
             tv_gaussian_1d(p, Gaussian1D(0.0, float(s)), SUP)
             for s in np.linspace(1.0, 4.0, 400)
@@ -267,9 +293,12 @@ class TestAtvGaussian:
         assert got >= scan - 1e-4
 
     def test_range_sup(self, q3):
-        got = atv_gaussian(Gaussian1D(5.0, 0.01), q3, budget=8, seed=0, conv=SUP)
+        got = atv_gaussian(Gaussian1D(5.0, 0.01), q3, SUP)
         assert 0.0 <= got <= 1.0
 
-    def test_budget_validated(self, q3):
-        with pytest.raises(DomainError):
-            atv_gaussian(Gaussian1D(0.0, 0.25), q3, budget=0, seed=0, conv=SUP)
+    def test_budget_and_seed_warn_and_change_nothing(self, q3):
+        p = Gaussian1D(0.0, 0.25)
+        plain = atv_gaussian(p, q3, SUP)
+        for extra in ({"budget": 0}, {"seed": 3}, {"budget": 16, "seed": 5}):
+            with pytest.warns(DeprecationWarning):
+                assert atv_gaussian(p, q3, conv=SUP, **extra) == plain

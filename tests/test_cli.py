@@ -190,13 +190,13 @@ def test_sandwich_discrete(capsys):
 
 
 def test_sandwich_augmented_with_estimated_atv(capsys):
-    code, out, _ = run_cli(
-        capsys,
+    argv = (
         "sandwich",
         "--p", P_G1, "--q", Q_G3,
         "--m1", "0.1", "--M1", "20", "--m2", "0.1", "--M2", "20",
-        "--convention", "sup", "--budget", "16", "--seed", "5",
+        "--convention", "sup",
     )
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
     p = Gaussian1D(0.0, 0.25)
@@ -204,11 +204,13 @@ def test_sandwich_augmented_with_estimated_atv(capsys):
     bounds = AugmentedDensityBounds(
         emb=DensityBounds(0.1, 20.0), proj=DensityBounds(0.1, 20.0)
     )
-    atv = atv_gaussian(p, q, budget=16, seed=5, conv=TvConvention.SUP)
+    atv = atv_gaussian(p, q, TvConvention.SUP)
     report = check_sandwich_augmented(p, q, bounds, atv=atv, conv=TvConvention.SUP)
     assert payload == json.loads(report.to_json())
     assert payload["all_hold"] is True
     assert payload["divergence"] == gaussian_akl(p, q)
+    # the deprecated --budget/--seed are still accepted and change nothing
+    assert run_cli(capsys, *argv, "--budget", "16", "--seed", "5") == (0, out, "")
 
 
 def test_sandwich_augmented_missing_bounds_is_input_error(capsys):
@@ -301,15 +303,28 @@ def test_numbers_round_trip_through_17_digits(capsys):
     assert payload["vajda_lb"] == vajda_lower_bound(0.9020089100323521)
 
 
-def test_module_entry_point():
+def _run_child(*args):
     # the child imports the package under test, however this run found it
     package_root = str(Path(divbounds.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "divbounds", "poly", "--delta", "1"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _run_child("-m", "divbounds", "poly", "--delta", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["poly_lb"] == pytest.approx(0.532131, abs=1e-6)
+
+
+def test_cli_does_not_load_the_quadrature():
+    # the quadrature is an oracle for the tests; no runtime path uses it
+    proc = _run_child(
+        "-c", "import sys, divbounds.cli; print('divbounds.quadrature' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from divbounds import (
     tv_discrete,
     tv_gaussian_1d,
 )
+from divbounds.measures import GAUSS_TV_ABS_TOL, density_crossings
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -156,11 +157,55 @@ class TestTvGaussian1d:
 
     def test_equal_variance_mean_shift(self):
         got = tv_gaussian_1d(Gaussian1D(0, 1), Gaussian1D(1, 1), SUP)
-        assert got == pytest.approx(oracles.TV_EQUAL_VAR_MEAN_SHIFT, abs=1e-9)
+        assert abs(got - oracles.TV_EQUAL_VAR_MEAN_SHIFT) <= GAUSS_TV_ABS_TOL
 
     def test_variance_mismatch_vs_cdf_oracle(self):
         got = tv_gaussian_1d(Gaussian1D(0, 0.25), Gaussian1D(0, 1), SUP)
-        assert got == pytest.approx(oracles.TV_QUARTER_VS_UNIT, abs=1e-9)
+        assert abs(got - oracles.TV_QUARTER_VS_UNIT) <= GAUSS_TV_ABS_TOL
+
+    @pytest.mark.parametrize("mu_a,s_a,mu_b,s_b,ref", oracles.TV_GAUSS_SUP_REF)
+    def test_within_contract_of_frozen_references(self, mu_a, s_a, mu_b, s_b, ref):
+        # near-identical pairs are held to the absolute contract only
+        assert GAUSS_TV_ABS_TOL <= 1e-13
+        a, b = Gaussian1D(mu_a, s_a), Gaussian1D(mu_b, s_b)
+        assert abs(tv_gaussian_1d(a, b, SUP) - ref) <= GAUSS_TV_ABS_TOL
+        assert abs(tv_gaussian_1d(b, a, SUP) - ref) <= GAUSS_TV_ABS_TOL
+        assert abs(tv_gaussian_1d(a, b, VAR) - 2 * ref) <= 2 * GAUSS_TV_ABS_TOL
+
+    def test_crossings_survive_a_tiny_variance(self):
+        # the uncentred quadratic lost both roots of this pair to cancellation
+        mu, s_a, s_b = oracles.CROSSING_PAIR
+        a, b = Gaussian1D(mu, s_a), Gaussian1D(mu, s_b)
+        lo, hi = density_crossings(a, b)
+        w = oracles.CROSSING_PAIR_HALF_WIDTH
+        assert hi - mu == pytest.approx(w, abs=2 * math.ulp(mu))
+        assert mu - lo == pytest.approx(w, abs=2 * math.ulp(mu))
+        assert density_crossings(b, a) == [lo, hi]
+
+    def test_crossings_of_equal_variances_and_identical_pairs(self):
+        assert density_crossings(Gaussian1D(1.0, 2.0), Gaussian1D(3.0, 2.0)) == [2.0]
+        assert density_crossings(Gaussian1D(1.0, 2.0), Gaussian1D(1.0, 2.0)) == []
+
+    @pytest.mark.parametrize(
+        "mu_b,s_b",
+        [
+            (1e160, 1e-16),  # t * t overflowed to inf: the TV came out NaN
+            (1e160, 1.0),  # (k * t) ** 2 raised OverflowError
+            (1e308, 1e-300),  # k * t overflows as well
+        ],
+    )
+    def test_far_apart_means_are_disjoint(self, mu_b, s_b):
+        a, b = Gaussian1D(0.0, 1.0), Gaussian1D(mu_b, s_b)
+        assert tv_gaussian_1d(a, b, SUP) == 1.0
+        assert tv_gaussian_1d(b, a, VAR) == 2.0
+        with pytest.raises(DomainError):
+            density_crossings(a, b)
+
+    def test_disjoint_shortcut_continues_the_closed_form(self):
+        # just inside the shortcut's separation the closed form already gives 1
+        a, b = Gaussian1D(0.0, 1.0), Gaussian1D(39.999, 1e-6)
+        assert tv_gaussian_1d(a, b, SUP) == 1.0
+        assert density_crossings(a, Gaussian1D(1e140, 1.0)) == [5e139]
 
     def test_against_monte_carlo(self):
         got = tv_gaussian_1d(Gaussian1D(0, 0.25), Gaussian1D(0, 1), SUP)
@@ -183,9 +228,8 @@ class TestTvGaussian1d:
         ],
     )
     def test_extreme_scales_stay_accurate(self, mu_a, s_a, mu_b, s_b):
-        # wide panels must not hide a narrow density bump from the nodes
         got = tv_gaussian_1d(Gaussian1D(mu_a, s_a), Gaussian1D(mu_b, s_b), SUP)
-        ref = oracles.tv_gaussian_sup_cdf(mu_a, s_a, mu_b, s_b)
+        ref = oracles.tv_gaussian_sup_quadrature(mu_a, s_a, mu_b, s_b)
         assert got == pytest.approx(ref, abs=1e-9)
 
     @given(
@@ -198,7 +242,7 @@ class TestTvGaussian1d:
     def test_range_and_oracle_agreement(self, mu_a, s_a, mu_b, s_b):
         got = tv_gaussian_1d(Gaussian1D(mu_a, s_a), Gaussian1D(mu_b, s_b), SUP)
         assert 0.0 <= got <= 1.0
-        ref = oracles.tv_gaussian_sup_cdf(mu_a, s_a, mu_b, s_b)
+        ref = oracles.tv_gaussian_sup_quadrature(mu_a, s_a, mu_b, s_b)
         assert got == pytest.approx(ref, abs=2e-9)
 
 

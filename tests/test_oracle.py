@@ -213,3 +213,37 @@ class TestResolveTvConvention:
 
     def test_coarser_grid_agrees(self):
         assert resolve_tv_convention(step=0.01) is TvConvention.SUP
+
+
+class TestRunVerify:
+    def test_rows_judge_the_gap_against_floor_and_tolerance(self):
+        rows = oracle.verify_tightness(step=0.01, gap_tol=oracle.VERIFY_GAP_TOL)
+        assert [row["delta"] for row in rows] == list(oracle.VERIFY_DELTAS)
+        for row in rows:
+            spec = OracleGridSpec(step=0.01, constraint_delta=row["delta"])
+            assert row["oracle_min"] == min_kl_at_tv(spec)
+            assert row["vajda_lb"] == vajda_lower_bound(row["delta"])
+            assert row["gap"] == row["oracle_min"] - row["vajda_lb"]
+            assert row["ok"] is (
+                oracle.VERIFY_GAP_FLOOR <= row["gap"] <= oracle.VERIFY_GAP_TOL
+            )
+        smallest = min(row["gap"] for row in rows)
+        tight = oracle.verify_tightness(step=0.01, gap_tol=smallest)
+        assert [row["ok"] for row in tight] == [row["gap"] == smallest for row in rows]
+
+    def test_report_is_the_verify_summary(self):
+        summary, fuzz = oracle.run_verify(300, 1, 0.01, oracle.VERIFY_GAP_TOL)
+        assert list(summary) == [
+            "convention",
+            "convention_matches_pinned",
+            "fuzz",
+            "tightness",
+            "all_ok",
+        ]
+        assert summary["fuzz"] == {
+            "trials": 300, "max_support": 6, "seed": 1, "violations": 0
+        }
+        assert summary["all_ok"] is True
+        assert fuzz.ok and fuzz.n_trials == 300
+        failing, _ = oracle.run_verify(50, seed=1, step=0.01, gap_tol=1e-12)
+        assert failing["all_ok"] is False

@@ -277,7 +277,7 @@ class TestSandwichAugmented:
 
     def test_example_chain_with_estimated_atv(self):
         p = Gaussian1D(mu=0.0, sigma2=0.25)
-        atv = atv_gaussian(p, self.q, budget=16, seed=5, conv=SUP)
+        atv = atv_gaussian(p, self.q, SUP)
         report = check_sandwich_augmented(p, self.q, self.loose, atv=atv, conv=SUP)
         assert report.all_hold
         assert report.divergence == pytest.approx(
@@ -292,7 +292,7 @@ class TestSandwichAugmented:
 
     def test_tight_bounds_report_false(self):
         p = Gaussian1D(mu=0.0, sigma2=0.25)
-        atv = atv_gaussian(p, self.q, budget=16, seed=5, conv=SUP)
+        atv = atv_gaussian(p, self.q, SUP)
         near_unit = AugmentedDensityBounds(
             emb=DensityBounds(0.999, 1.001), proj=DensityBounds(0.999, 1.001)
         )
