@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--m2", type=float, default=None)
     s.add_argument("--M2", type=float, default=None)
     s.add_argument("--atv", type=float, default=None)
-    s.add_argument("--budget", type=int, help="deprecated; ignored")
-    s.add_argument("--seed", type=int, help="deprecated; ignored")
     s.set_defaults(func=_cmd_sandwich)
 
     s = sub.add_parser("verify", help="run the full brute-force oracle suite")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import TvConvention
-from .pinsker import PINNED_TV_CONVENTION, SandwichReport, check_sandwich_rows
+from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
 from .serialize import dumps
 from .vajda import vajda_lower_bound
 
@@ -30,6 +30,9 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
+# grid pairs per array pass of the binary- and ternary-grid scans; bounds
+# their memory
+_GRID_CHUNK_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ def min_kl_at_tv(spec: OracleGridSpec) -> float:
     best = math.inf
     found = False
     # chunk the p side so the pairwise arrays stay modest
-    chunk = max(1, int(2e6 / grid.shape[0]))
+    chunk = max(1, _GRID_CHUNK_PAIRS // grid.shape[0])
     for start in range(0, grid.shape[0], chunk):
         p = grid[start : start + chunk]
         # the TV plane one support component at a time, then KL only on
@@ -251,22 +254,25 @@ def resolve_tv_convention(step: float = 1e-3) -> TvConvention:
     """
     n = round(1.0 / step)
     a = np.arange(1, n) / n
-    p1 = a[:, None]
     q1 = a[None, :]
-    kl = p1 * np.log(p1 / q1) + (1.0 - p1) * np.log((1.0 - p1) / (1.0 - q1))
-    r1 = p1 / q1
-    r2 = (1.0 - p1) / (1.0 - q1)
-    m = np.minimum(r1, r2)
-    big = np.maximum(r1, r2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # phi(x) = x log(x)/(x - 1), extended by phi(1) = 1
-        phi_big = np.where(big == 1.0, 1.0, big * np.log(big) / (big - 1.0))
-        phi_small = np.where(m == 1.0, 1.0, m * np.log(m) / (m - 1.0))
-    slope = phi_big - phi_small
-    delta_sup = np.abs(p1 - q1)
-    if np.all(kl <= delta_sup * slope + 1e-12):
+    holds_sup = holds_var = True
+    # chunk the p side so the pairwise arrays stay modest
+    chunk = max(1, _GRID_CHUNK_PAIRS // a.size)
+    for start in range(0, a.size, chunk):
+        p1 = a[start : start + chunk, None]
+        kl = p1 * np.log(p1 / q1) + (1.0 - p1) * np.log((1.0 - p1) / (1.0 - q1))
+        r1 = p1 / q1
+        r2 = (1.0 - p1) / (1.0 - q1)
+        with np.errstate(invalid="ignore"):
+            # phi(1) is 0/0; ratios of 1 occur only on the diagonal p = q,
+            # where delta and the bound are 0
+            slope = _phi(np.maximum(r1, r2), np) - _phi(np.minimum(r1, r2), np)
+        bound = np.where(p1 == q1, 0.0, np.abs(p1 - q1) * slope)
+        holds_sup = holds_sup and bool(np.all(kl <= bound + 1e-12))
+        holds_var = holds_var and bool(np.all(kl <= 2.0 * bound + 1e-12))
+    if holds_sup:
         return TvConvention.SUP
-    if np.all(kl <= 2.0 * delta_sup * slope + 1e-12):
+    if holds_var:
         return TvConvention.VARIATIONAL
     raise RuntimeError(
         "neither TV convention validates the reverse-Pinsker bound on the "

@@ -50,9 +50,6 @@ _ARRAY_DELTA_MARGIN = 1e-13
 
 POLY_COEFFS = (0.5, 1.0 / 36.0, 1.0 / 270.0, 221.0 / 340200.0)
 
-_MONOTONE_GRID_SIZE = 10_000
-_monotone_verified = False
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -97,27 +94,6 @@ def _delta_at_array(t: np.ndarray) -> np.ndarray:
     return np.where(t < _SMALL_T, series, t * (1.0 - c * c))
 
 
-def _ensure_monotone() -> None:
-    """One-time numeric check that delta(t) is strictly increasing.
-
-    Verified over a log-spaced grid rather than proven; inversion by
-    bisection is meaningless if this ever fails, so failure aborts. The
-    result is cached and shared read-only by all callers.
-    """
-    global _monotone_verified
-    if _monotone_verified:
-        return
-    ts = np.geomspace(1e-6, T_MAX, _MONOTONE_GRID_SIZE)
-    deltas = _delta_at_array(ts)
-    if not np.all(np.diff(deltas) > 0):
-        bad = int(np.argmin(np.diff(deltas)))
-        raise RuntimeError(
-            "monotonicity check failed: delta(t) not strictly increasing "
-            f"near t = {ts[bad]:.6g}; inversion would be ill-defined"
-        )
-    _monotone_verified = True
-
-
 def curve_at_parameter(t: float) -> CurvePoint:
     """Evaluate the parametric curve at t > 0."""
     if not math.isfinite(t) or t <= 0:
@@ -154,7 +130,6 @@ def curve_point_for_delta(
             f"delta = {d} is beyond delta({T_MAX}) = {delta_max():.15g}; the "
             "curve approaches 2 only asymptotically and the bound diverges"
         )
-    _ensure_monotone()
     # run the bisection to bracket collapse: delta'(t) <= 1 everywhere, so
     # the residual ends far below the documented 1e-12
     t_star, _ = bisect_increasing(
@@ -195,7 +170,6 @@ def vajda_lower_bound_array(delta: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"every delta must lie in [0, {delta_max():.15g}] on the variational scale"
         )
-    _ensure_monotone()
     active = d > 0.0
     exact = np.flatnonzero(active & (d < _EXACT_PATH_DELTA))
     lo = np.zeros_like(d)
@@ -305,7 +279,6 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
         raise DomainError(f"t_max {t_max} exceeds {T_MAX}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    _ensure_monotone()
     points = [curve_at_parameter(float(t)) for t in np.geomspace(t_min, t_max, n_points)]
     for prev, cur in zip(points, points[1:]):
         if not cur.delta > prev.delta:

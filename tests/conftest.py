@@ -1,0 +1,16 @@
+"""Settings for the library's tests under this directory."""
+
+from pathlib import Path
+
+import pytest
+
+_TESTS = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    # a DeprecationWarning fails a test here, so no test comes to rely on a
+    # deprecated call; the benchmark's tests are collected in the same run
+    # and left alone
+    for item in items:
+        if _TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))

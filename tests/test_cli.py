@@ -209,8 +209,11 @@ def test_sandwich_augmented_with_estimated_atv(capsys):
     assert payload == json.loads(report.to_json())
     assert payload["all_hold"] is True
     assert payload["divergence"] == gaussian_akl(p, q)
-    # the deprecated --budget/--seed are still accepted and change nothing
-    assert run_cli(capsys, *argv, "--budget", "16", "--seed", "5") == (0, out, "")
+    # the removed --budget/--seed are usage errors
+    for flag in ("--budget", "--seed"):
+        code, _, err = run_cli(capsys, *argv, flag, "5")
+        assert code == 1
+        assert flag in err
 
 
 def test_sandwich_augmented_missing_bounds_is_input_error(capsys):
@@ -259,6 +262,15 @@ def test_unknown_flag_exits_one(capsys):
 def test_bad_domain_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "vajda", "--delta", "3.0", "--convention", "variational"
+    )
+    assert code == 1
+    assert "error" in err
+    # sigma^2 / zeta overflows: the augmented KL is inf, which has no
+    # polynomial-bound inverse
+    code, _, err = run_cli(
+        capsys,
+        "gaussian-akl", "--p", '{"type":"gaussian1d","mu":0,"sigma2":1e300}',
+        "--q", '{"type":"gaussiannd","nu":[0,0],"sigma":[[1e-10,0],[0,2e-10]]}',
     )
     assert code == 1
     assert "error" in err

@@ -22,7 +22,12 @@ from divbounds import (
     reid_lower_bound,
     vajda_lower_bound,
 )
-from divbounds.vajda import _EXACT_PATH_DELTA, delta_max, vajda_lower_bound_array
+from divbounds.vajda import (
+    _EXACT_PATH_DELTA,
+    _delta_at_array,
+    delta_max,
+    vajda_lower_bound_array,
+)
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -72,6 +77,13 @@ class TestCurveAtParameter:
         above = curve_at_parameter(1e-4 * (1 + 1e-9))
         assert below.delta == pytest.approx(above.delta, rel=1e-8)
         assert below.l_value == pytest.approx(above.l_value, rel=1e-6)
+
+    def test_delta_strictly_increasing(self):
+        # curve inversion by bisection relies on it; both the scalar and the
+        # batched kernel are checked, as both are bisected
+        ts = np.geomspace(1e-6, T_MAX, 10_000)
+        assert np.all(np.diff(_delta_at_array(ts)) > 0)
+        assert np.all(np.diff([curve_at_parameter(t).delta for t in ts.tolist()]) > 0)
 
 
 class TestVajdaLowerBound:
