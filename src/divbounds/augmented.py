@@ -22,6 +22,7 @@ with the 1-D TV in place of the 1-D KL, and needs no search.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .measures import (
     Gaussian1D,
     GaussianND,
     TvConvention,
+    kl_gaussian_1d,
     tv_gaussian_1d,
 )
 from .serialize import dumps
@@ -170,6 +172,16 @@ def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
     )
 
 
+def _nearest_end(p: Gaussian1D, q: GaussianND):
+    # q's mean-matched 1-D image at the eigenvalue end nearest sigma^2; None inside
+    s = p.sigma2
+    zeta_min = float(q.eigenvalues[0])
+    zeta_max = float(q.eigenvalues[-1])
+    if zeta_min <= s <= zeta_max:
+        return None
+    return Gaussian1D(mu=p.mu, sigma2=zeta_min if s < zeta_min else zeta_max)
+
+
 def gaussian_akl(p: Gaussian1D, q: GaussianND) -> float:
     """Closed-form augmented KL between a 1-D and an n-D Gaussian.
 
@@ -181,29 +193,28 @@ def gaussian_akl(p: Gaussian1D, q: GaussianND) -> float:
         otherwise:     0
 
     (see the module docstring for why the middle condition compares
-    against the largest eigenvalue). Continuous in s across both
-    boundaries; the mean plays no role because offsets absorb it.
+    against the largest eigenvalue): ``kl_gaussian_1d`` at the nearest end.
+    Continuous in s across both boundaries; the mean plays no role
+    because offsets absorb it.
     """
-    s = p.sigma2
-    zeta_min = float(q.eigenvalues[0])
-    zeta_max = float(q.eigenvalues[-1])
-    if s < zeta_min:
-        val = 0.5 * (s / zeta_min - 1.0 + math.log(zeta_min / s))
-    elif s > zeta_max:
-        val = 0.5 * (s / zeta_max - 1.0 + math.log(zeta_max / s))
-    else:
-        return 0.0
-    return val if val > 0 else 0.0
+    end = _nearest_end(p, q)
+    return 0.0 if end is None else kl_gaussian_1d(p, end)
 
 
 def _mean_matched_kl(p: Gaussian1D, q: GaussianND, v: np.ndarray) -> np.ndarray:
-    # KL from p to the pushforward along each unit row of v, offset so the
-    # means match (a mean mismatch only adds to it): with s = v^T Sigma v
-    # the Rayleigh quotient and r = sigma^2 / s, it is (1/2)(r - 1 - log r);
-    # a ratio that overflows or underflows gives inf, as the KL does
+    # kl_gaussian_1d from p to the pushforward along each unit row of v,
+    # offset so the means match (a mean mismatch only adds to it): with
+    # s = v^T Sigma v the Rayleigh quotient and r = sigma^2 / s, it is
+    # (1/2)(r - 1 - log r), log r taken from the two logs where r is 0 or
+    # subnormal; a ratio that overflows gives inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = p.sigma2 / np.einsum("...i,ij,...j->...", v, q.sigma, v)
-        kl = 0.5 * (r - 1.0 - np.log(r))
+        s = np.einsum("...i,ij,...j->...", v, q.sigma, v)
+        r = p.sigma2 / s
+        log_r = np.log(r)
+        tiny = r < sys.float_info.min
+        if tiny.any():
+            log_r[tiny] = math.log(p.sigma2) - np.log(s[tiny])
+        kl = 0.5 * (r - 1.0 - log_r)
     return np.where(r == np.inf, np.inf, np.maximum(kl, 0.0))
 
 
@@ -252,7 +263,9 @@ def search_projection_divergence(
             stale += 1
         else:
             candidate /= norm
-            value = float(_mean_matched_kl(p, q, candidate))
+            # the Rayleigh quotient can round to 0 on a near-singular sigma
+            s = float(np.einsum("i,ij,j->", candidate, q.sigma, candidate))
+            value = kl_gaussian_1d(p, Gaussian1D(p.mu, s)) if s > 0 else math.inf
             if value < best_value:
                 best_value = value
                 best_v = candidate
@@ -288,10 +301,5 @@ def atv_gaussian(
     """
     if budget is not None or seed is not None:
         warnings.warn("atv_gaussian ignores budget and seed", DeprecationWarning, 2)
-    s = p.sigma2
-    zeta_min = float(q.eigenvalues[0])
-    zeta_max = float(q.eigenvalues[-1])
-    if zeta_min <= s <= zeta_max:
-        return 0.0
-    end = zeta_min if s < zeta_min else zeta_max
-    return tv_gaussian_1d(p, Gaussian1D(mu=p.mu, sigma2=end), conv)
+    end = _nearest_end(p, q)
+    return 0.0 if end is None else tv_gaussian_1d(p, end, conv)

@@ -11,6 +11,7 @@ is the L1 form, exactly twice SUP, with range [0, 2].
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -225,8 +226,14 @@ def kl_gaussian_1d(a: Gaussian1D, b: Gaussian1D) -> float:
         (1/2) [ s_a/s_b - 1 + log(s_b/s_a) + (mu_a - mu_b)^2 / s_b ]
     """
     r = a.sigma2 / b.sigma2
+    # a ratio that overflows or underflows (to 0 or a subnormal, which has
+    # lost its relative precision) takes its log from the two variances
+    if sys.float_info.min <= r < math.inf:
+        log_r = math.log(r)
+    else:
+        log_r = math.log(a.sigma2) - math.log(b.sigma2)
     dmu = a.mu - b.mu
-    val = 0.5 * (r - 1.0 - math.log(r) + dmu * dmu / b.sigma2)
+    val = 0.5 * (r - 1.0 - log_r + dmu * dmu / b.sigma2)
     return val if val > 0 else 0.0
 
 

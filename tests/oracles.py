@@ -4,8 +4,9 @@ Everything here is deliberately implemented without calling the library's
 own computation paths: TV between Gaussians comes from 50-digit mpmath
 values frozen below, from adaptive quadrature of |f_a - f_b| (the library's
 quadrature module, which no runtime path uses) and from Monte Carlo; the
-polynomial bound comes from exact rational arithmetic, and the curve
-constants were computed once at 50-digit precision and frozen.
+polynomial bound and the curve's power series come from exact rational
+arithmetic, and the curve constants were computed once at 50-digit
+precision and frozen.
 """
 
 import math
@@ -33,6 +34,45 @@ VAJDA_AT = {
     1.3: 0.95038725816267595,
     1.7: 1.8905692703505206,
 }
+
+# (delta, L(delta)) on the optimal curve, variational delta: mpmath on the
+# parametric formulas at the double delta, with t found by findroot at 50
+# digits plus three per decade below 1 (80 gave the same doubles), rounded
+# to the nearest double; the third row from the middle is delta(1), where
+# the evaluation of delta(t) switches form, and the last is delta_max()
+VAJDA_REF = (
+    (1e-40, 4.999999999999999e-81),
+    (1e-20, 5e-41),
+    (1e-09, 5e-19),
+    (1e-06, 5.000000000000278e-13),
+    (3e-05, 4.5000000002250003e-10),
+    (0.0001, 5.0000000027777785e-09),
+    (0.001, 5.000000277777815e-07),
+    (0.01, 5.000027778148155e-05),
+    (0.05, 0.0012501736690068701),
+    (0.1, 0.00500278148799071),
+    (0.2, 0.020044683157952953),
+    (0.3, 0.045227743405584435),
+    (0.4, 0.08072672135917323),
+    (0.5, 0.12679665350638544),
+    (0.55, 0.15390015368870175),
+    (0.6, 0.18378456526831632),
+    (0.8, 0.3324739201897186),
+    (0.9020089100323522, 0.42753426296182523),
+    (1.0, 0.5322979088919999),
+    (1.2, 0.7926352944804101),
+    (1.5, 1.3397021628687062),
+    (1.7, 1.8905692703505204),
+    (1.8, 2.302182884412988),
+    (1.9, 2.9957322343923467),
+    (1.93, 3.352407217481957),
+    (1.96, 3.912023005428145),
+    (1.98, 4.605170185988091),
+    (1.99, 5.298317366548035),
+    (1.995, 5.991464547108003),
+    (1.997, 6.502290170874009),
+    (1.998, 6.907755278982136),
+)
 
 # sup-convention TV between N(0,1) and N(1,1): 2 Phi(1/2) - 1
 TV_EQUAL_VAR_MEAN_SHIFT = 0.38292492254802621
@@ -81,6 +121,8 @@ CROSSING_PAIR = (-0.4522178775034811, 8.037058038467513e-07, 3.628864459467805e-
 CROSSING_PAIR_HALF_WIDTH = 1.2038834822914637e-11
 
 # closed-form KL values
+KL_GAUSS_TINY_VS_HUGE = 460.01701859880914  # variances 1e-200 vs 1e200, mpmath
+KL_GAUSS_SUBNORMAL_RATIO = 371.96947892070136  # 3e-162 vs 1e162 (ratio 3e-324), mpmath
 KL_GAUSS_QUARTER_VS_UNIT = 0.31814718055994531  # (1/2)(0.25 - 1 + log 4)
 AKL_SIGMA2_9_ZETA1_4 = 0.21953489189183562  # (1/2)(9/4 - 1 + log(4/9))
 
@@ -112,6 +154,84 @@ def poly_bound_fraction(delta: Fraction) -> Fraction:
     for k, coeff in enumerate(POLY_COEFF_FRACTIONS, start=1):
         acc += coeff * delta ** (2 * k)
     return acc
+
+
+# --- the curve as exact rational power series ---------------------------
+# A series is a list of Fractions, index = power, truncated to its length.
+
+
+def bernoulli_numbers(n_max: int) -> list:
+    """B_0 .. B_n_max from sum over k <= n of C(n + 1, k) B_k = 0 (n >= 1)."""
+    b = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        b.append(-sum(math.comb(n + 1, k) * b[k] for k in range(n)) / (n + 1))
+    return b
+
+
+def _mul(a: list, b: list) -> list:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def _inverse(a: list) -> list:
+    # 1 / a, for a[0] != 0
+    out = [1 / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def _log(a: list) -> list:
+    # log a, for a[0] = 1: the integral of a' / a
+    da = [k * a[k] for k in range(1, len(a))] + [Fraction(0)]
+    q = _mul(da, _inverse(a))
+    return [Fraction(0)] + [q[k - 1] / k for k in range(1, len(a))]
+
+
+def _compose(f: list, g: list) -> list:
+    # f(g(x)), for g[0] = 0, by Horner's rule
+    out = [Fraction(0)] * len(g)
+    for coeff in reversed(f):
+        out = _mul(out, g)
+        out[0] += coeff
+    return out
+
+
+def curve_series_in_t(n: int) -> tuple:
+    """delta(t) and L(t) as series in t, the coefficients of t^0 .. t^(n-1).
+
+    From the defining formulas, with t coth t = sum 2^(2k) B_2k t^(2k) / (2k)!
+    and sinh t / t = sum t^(2k) / (2k + 1)!:
+    delta = t (1 - c^2) for c = (t coth t - 1) / t, and
+    L = -log(sinh t / t) + t coth t - (t / sinh t)^2.
+    """
+    b = bernoulli_numbers(n + 1)
+    t_coth = [Fraction(0)] * n
+    sinhc = [Fraction(0)] * n
+    for k in range(0, n, 2):
+        t_coth[k] = 2**k * b[k] / math.factorial(k)
+        sinhc[k] = Fraction(1, math.factorial(k + 1))
+    c = t_coth[1:] + [Fraction(0)]  # (t coth t - 1) / t: t_coth[0] is 1
+    c2 = _mul(c, c)
+    delta = [Fraction(0)] + [Fraction(k == 0) - c2[k] for k in range(n - 1)]
+    inv = _inverse(sinhc)
+    l_value = [
+        tc - r2 - lg for tc, r2, lg in zip(t_coth, _mul(inv, inv), _log(sinhc))
+    ]
+    return delta, l_value
+
+
+def curve_l_series_in_delta(n: int) -> list:
+    """L as a series in delta: the coefficients of delta^0 .. delta^(n-1).
+
+    Reverts delta(t) = t + O(t^3) by the fixed point t = x - (delta(t) - t),
+    which gains two orders of x per step, and composes L(t) with it.
+    """
+    delta, l_value = curve_series_in_t(n)
+    x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2)
+    t = list(x)
+    for _ in range(n):
+        t = [a - (b - c) for a, b, c in zip(x, _compose(delta, t), t)]
+    return _compose(l_value, t)
 
 
 def _log_density_diff_roots(mu_a, s_a, mu_b, s_b) -> list[float]:

@@ -24,6 +24,7 @@ from divbounds import (
     fuzz_sandwich,
     gaussian_akl,
     invert_poly_bound,
+    kl_gaussian_1d,
     poly_lower_bound,
     reid_lower_bound,
     resolve_tv_convention,
@@ -69,12 +70,14 @@ def test_criterion_1_curve_cross_validation():
 def test_criterion_2_polynomial_ordering():
     # the polynomial is the curve's own 8th-order expansion, so near 0 the
     # true slack (~delta^10) sits below double resolution; the ordering is
-    # asserted up to a pure-rounding allowance and strictly away from 0
+    # asserted up to a pure-rounding allowance relative to the polynomial
+    # and strictly away from 0
     slacks = {
         float(d): vajda_lower_bound(float(d)) - poly_lower_bound(float(d))
         for d in GRID_200
     }
     min_slack = min(slacks.values())
+    min_rel_slack = min(s / poly_lower_bound(d) for d, s in slacks.items() if d > 0)
     min_slack_away = min(s for d, s in slacks.items() if d >= 0.5)
     exact = oracles.poly_bound_fraction(Fraction(1))
     assert exact == Fraction(1, 2) + Fraction(1, 36) + Fraction(1, 270) + Fraction(
@@ -82,7 +85,7 @@ def test_criterion_2_polynomial_ordering():
     )
     at_one = poly_lower_bound(1.0)
     ok = (
-        min_slack >= -1e-13
+        min_rel_slack >= -2e-15
         and min_slack_away > 0.0
         and abs(at_one - 0.532131) <= 1e-6
         and abs(at_one - float(exact)) <= 1e-15
@@ -91,7 +94,8 @@ def test_criterion_2_polynomial_ordering():
         2,
         "polynomial stays below the curve",
         ok,
-        f"min slack = {min_slack:.3e} (>= -1e-13 rounding allowance), "
+        f"min slack = {min_slack:.3e}, min slack / poly = {min_rel_slack:.3e} "
+        "(>= -2e-15 rounding allowance), "
         f"strictly positive for delta >= 0.5 (min {min_slack_away:.3e}), "
         f"poly(1) = {at_one:.9f} = 0.532131 +/- 1e-6, rational oracle {exact}",
     )
@@ -153,7 +157,13 @@ def test_criterion_5_gaussian_akl_and_search():
     inner_values = []
     for sigma2 in (1.0, 2.0, 3.9):
         inner = Gaussian1D(mu=-0.5, sigma2=sigma2)
-        assert gaussian_akl(inner, q) == 0.0
+        if sigma2 == 1.0:
+            # 1.0 is the smallest eigenvalue, which eigh returns a few ulps
+            # above 1: the closed form is the 1-D KL against it, 2.0e-31
+            end = Gaussian1D(mu=-0.5, sigma2=float(q.eigenvalues[0]))
+            assert gaussian_akl(inner, q) == kl_gaussian_1d(inner, end)
+        else:
+            assert gaussian_akl(inner, q) == 0.0
         result = search_projection_divergence(inner, q, "kl", budget=10_000, seed=42)
         inner_values.append(result.best_value)
     elapsed = time.perf_counter() - start

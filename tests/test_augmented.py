@@ -155,6 +155,15 @@ class TestGaussianAkl:
                 scan, abs=1e-8
             )
 
+    def test_out_of_range_variance_ratio(self):
+        # sigma^2 / zeta overflows: inf; it underflows: the finite 1-D KL
+        # against the nearest eigenvalue, as kl_gaussian_1d gives it
+        q = GaussianND(nu=np.zeros(2), sigma=np.diag([1e-10, 2e-10]))
+        assert gaussian_akl(Gaussian1D(0.0, 1e300), q) == math.inf
+        q = GaussianND(nu=np.zeros(2), sigma=np.diag([1e200, 2e200]))
+        got = gaussian_akl(Gaussian1D(0.0, 1e-200), q)
+        assert got == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
+
     def test_rotation_invariance(self):
         rng = np.random.default_rng(5)
         sigma = oracles.random_spd_matrix(4, [0.7, 1.1, 2.0, 5.0], rng)
@@ -236,12 +245,25 @@ class TestSearchProjectionDivergence:
         assert all(a >= b - 1e-6 for a, b in zip(full, full[1:]))
 
     def test_out_of_range_variance_ratio_gives_inf(self):
-        # sigma^2 / s overflows in the first pair and underflows in the second
-        for sigma2, scale in ((1e300, 1e-10), (1e-200, 1e200)):
-            p = Gaussian1D(0.0, sigma2)
-            q = GaussianND(nu=np.zeros(2), sigma=np.diag([scale, 2.0 * scale]))
-            result = search_projection_divergence(p, q, "kl", budget=20, seed=0)
-            assert result.best_value == gaussian_akl(p, q) == math.inf
+        # sigma^2 / s overflows
+        p = Gaussian1D(0.0, 1e300)
+        q = GaussianND(nu=np.zeros(2), sigma=np.diag([1e-10, 2e-10]))
+        result = search_projection_divergence(p, q, "kl", budget=20, seed=0)
+        assert result.best_value == gaussian_akl(p, q) == math.inf
+
+    def test_underflowing_variance_ratio_nears_closed_form(self):
+        # sigma^2 / s underflows: log r comes from the two logs, so the
+        # search stays finite and lands just above the closed form
+        p = Gaussian1D(0.0, 1e-200)
+        q = GaussianND(nu=np.zeros(2), sigma=np.diag([1e200, 2e200]))
+        result = search_projection_divergence(p, q, "kl", budget=20, seed=0)
+        akl = gaussian_akl(p, q)
+        assert akl == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
+        assert akl <= result.best_value <= akl * (1.0 + 1e-9)
+        # the drawn blocks are scored the same way as the refinement steps
+        blocks = augmented._mean_matched_kl(p, q, np.eye(2))
+        singles = [kl_gaussian_1d(p, Gaussian1D(0.0, s)) for s in (1e200, 2e200)]
+        assert blocks == pytest.approx(singles, rel=1e-15)
 
     def test_tv_objective_needs_convention(self, q3):
         # the search's TV objective is gone: "tv" is rejected like any

@@ -72,6 +72,38 @@ def test_divergence_gaussian_pair(capsys):
     assert payload["tv"] == pytest.approx(oracles.TV_EQUAL_VAR_MEAN_SHIFT, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "p_sigma2, q_sigma2, kl",
+    [("1e300", "1e-10", float("inf")), ("1e-200", "1e200", oracles.KL_GAUSS_TINY_VS_HUGE)],
+)
+def test_divergence_extreme_variance_ratio(capsys, p_sigma2, q_sigma2, kl):
+    # the ratio of the variances overflows, then underflows
+    code, out, err = run_cli(
+        capsys,
+        "divergence",
+        "--p", f'{{"type":"gaussian1d","mu":0,"sigma2":{p_sigma2}}}',
+        "--q", f'{{"type":"gaussian1d","mu":0,"sigma2":{q_sigma2}}}',
+        "--convention", "sup",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["kl"] == kl
+    assert payload["tv"] == 1.0
+
+
+def test_gaussian_akl_underflowing_variance_ratio(capsys):
+    # sigma^2 / zeta underflows: the closed form and the search stay finite
+    code, out, err = run_cli(
+        capsys,
+        "gaussian-akl", "--p", '{"type":"gaussian1d","mu":0,"sigma2":1e-200}',
+        "--q", '{"type":"gaussiannd","nu":[0,0],"sigma":[[1e200,0],[0,2e200]]}',
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["akl"] == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
+    assert 0.0 <= payload["search_gap"] <= 1e-6
+
+
 def test_divergence_mixed_types_is_input_error(capsys):
     code, _, err = run_cli(
         capsys, "divergence", "--p", P_DISC, "--q", P_G1, "--convention", "sup"

@@ -149,6 +149,16 @@ class TestKlGaussian1d:
     def test_mean_shift_only(self):
         assert kl_gaussian_1d(Gaussian1D(1, 1), Gaussian1D(0, 1)) == pytest.approx(0.5)
 
+    def test_out_of_range_variance_ratio(self):
+        # the ratio of the variances overflows: the KL is inf; it underflows:
+        # log r is the difference of the two logs
+        assert kl_gaussian_1d(Gaussian1D(0, 1e300), Gaussian1D(0, 1e-10)) == math.inf
+        got = kl_gaussian_1d(Gaussian1D(0, 1e-200), Gaussian1D(0, 1e200))
+        assert got == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
+        # the ratio is subnormal: log r from the ratio would be off by 0.5
+        got = kl_gaussian_1d(Gaussian1D(0, 3e-162), Gaussian1D(0, 1e162))
+        assert got == pytest.approx(oracles.KL_GAUSS_SUBNORMAL_RATIO, rel=1e-15)
+
 
 class TestTvGaussian1d:
     def test_identical_is_zero(self):

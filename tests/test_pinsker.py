@@ -216,7 +216,7 @@ class TestSandwichRows:
             got = rows.report(i)
             assert got.poly_lb == want.poly_lb
             assert got.divergence == want.divergence
-            assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-10, abs=0.0)
+            assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
             assert got.all_hold == want.all_hold
             # U subtracts two phi values; numpy's log1p may differ from
             # math.log1p by an ulp of each
@@ -240,7 +240,7 @@ class TestSandwichRows:
             want.divergence,
             want.all_hold,
         )
-        assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-10, abs=0.0)
+        assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
         assert got.upper == pytest.approx(want.upper, rel=1e-13)
         assert type(got.divergence) is float and type(got.all_hold) is bool
         assert rows.report(1).upper == 0.0

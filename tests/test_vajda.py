@@ -23,8 +23,14 @@ from divbounds import (
     vajda_lower_bound,
 )
 from divbounds.vajda import (
-    _EXACT_PATH_DELTA,
+    _FAR_T,
+    _L_SERIES,
+    _L_SERIES_T,
+    _SMALL_T,
+    POLY_COEFFS,
+    _delta_at,
     _delta_at_array,
+    _l_at,
     delta_max,
     vajda_lower_bound_array,
 )
@@ -77,6 +83,17 @@ class TestCurveAtParameter:
         above = curve_at_parameter(1e-4 * (1 + 1e-9))
         assert below.delta == pytest.approx(above.delta, rel=1e-8)
         assert below.l_value == pytest.approx(above.l_value, rel=1e-6)
+
+    @pytest.mark.parametrize("switch", [_SMALL_T, _FAR_T])
+    def test_delta_forms_meet_at_switches(self, switch):
+        # one double apart, the two forms differ by their rounding only
+        ts = [math.nextafter(switch, 0.0), math.nextafter(switch, 2.0)]
+        for below, above in ([_delta_at(t) for t in ts], _delta_at_array(np.array(ts))):
+            assert above == pytest.approx(below, rel=5e-15)
+
+    def test_l_forms_meet_at_switch(self):
+        below, above = (_l_at(math.nextafter(_L_SERIES_T, x)) for x in (0.0, 1.0))
+        assert above == pytest.approx(below, rel=5e-15)
 
     def test_delta_strictly_increasing(self):
         # curve inversion by bisection relies on it; both the scalar and the
@@ -132,10 +149,7 @@ class TestVajdaLowerBoundArray:
         batched = vajda_lower_bound_array(deltas)
         scalar = np.array([vajda_lower_bound(float(d)) for d in deltas])
         rel = np.abs(batched - scalar) / np.where(scalar > 0, scalar, 1.0)
-        assert rel.max() <= 1e-10
-        # where L(t) is not smooth at the ulp scale the paths coincide
-        small = deltas < _EXACT_PATH_DELTA
-        assert np.array_equal(batched[small], scalar[small])
+        assert rel.max() <= 1e-14
 
     @pytest.mark.parametrize(
         "deltas", [[-1e-3], [1.9999999], [float("nan")], [[0.5, 0.6]]]
@@ -143,6 +157,52 @@ class TestVajdaLowerBoundArray:
     def test_rejects_out_of_domain(self, deltas):
         with pytest.raises(DomainError):
             vajda_lower_bound_array(np.array(deltas))
+
+
+def curve_rel_tol(d):
+    # the curve's accuracy contract: 1e-14 relative for delta in [1e-40, 1.9];
+    # near saturation L grows as -log(2 - delta), and one ulp of delta(t)
+    # moves it by up to ~150 ulps, hence 5e-14 above 1.9
+    return np.where(d <= 1.9, 1e-14, 5e-14)
+
+
+class TestCurveAccuracy:
+    def test_reference_grid_reaches_delta_max(self):
+        assert oracles.VAJDA_REF[-1][0] == delta_max() == 1.998
+
+    @pytest.mark.parametrize("d, ref", oracles.VAJDA_REF)
+    def test_scalar_against_mpmath(self, d, ref):
+        assert abs(vajda_lower_bound(d) - ref) <= curve_rel_tol(d) * ref
+
+    def test_batched_against_mpmath(self):
+        deltas, refs = (np.array(col) for col in zip(*oracles.VAJDA_REF))
+        got = vajda_lower_bound_array(deltas)
+        assert np.all(np.abs(got - refs) <= curve_rel_tol(deltas) * refs)
+
+    def test_never_below_polynomial(self):
+        # the polynomial is the curve's expansion to delta^8; the curve keeps
+        # it below itself up to the rounding of the two evaluations
+        deltas = np.geomspace(1e-40, delta_max(), 2000)
+        poly = np.array([poly_lower_bound(float(d)) for d in deltas])
+        scalar = np.array([vajda_lower_bound(float(d)) for d in deltas])
+        assert np.all(scalar - poly >= -2e-15 * poly)
+        assert np.all(vajda_lower_bound_array(deltas) - poly >= -2e-15 * poly)
+
+
+class TestCurveSeries:
+    def test_l_series_coefficients_are_nearest_doubles(self):
+        _, l_t = oracles.curve_series_in_t(2 * len(_L_SERIES) + 2)
+        assert l_t[0] == 0 and not any(l_t[1::2])
+        assert _L_SERIES == tuple(float(c) for c in l_t[2::2])
+
+    def test_poly_coefficients_are_the_curve_in_delta(self):
+        # Fedotov-Harremoes-Topsoe: L(delta) = delta^2/2 + delta^4/36 +
+        # delta^6/270 + 221 delta^8/340200 + 299 delta^10/2296350 + ...
+        l_d = oracles.curve_l_series_in_delta(12)
+        assert not any(l_d[1::2]) and l_d[0] == 0
+        assert tuple(l_d[2:10:2]) == oracles.POLY_COEFF_FRACTIONS
+        assert POLY_COEFFS == tuple(float(c) for c in oracles.POLY_COEFF_FRACTIONS)
+        assert l_d[10] == Fraction(299, 2296350)
 
 
 class TestReidLowerBound:
