@@ -39,9 +39,10 @@ _GRID_CHUNK_PAIRS = 100_000
 class OracleGridSpec:
     """Grid resolution and optional TV constraint for the scans.
 
-    ``constraint_delta`` is a variational TV target; pairs whose TV falls
-    within ``constraint_tol`` of it are feasible. The tolerance defaults
-    to the step and may not be smaller.
+    ``step`` lies in (0, 0.5] and divides 1, so the grid holds both
+    ends of each probability. ``constraint_delta`` is a variational TV
+    target; pairs whose TV falls within ``constraint_tol`` of it are
+    feasible. The tolerance defaults to the step and may not be smaller.
     """
 
     support_size: int = 2
@@ -54,6 +55,8 @@ class OracleGridSpec:
             raise DomainError(f"support_size must be 2 or 3, got {self.support_size}")
         if not 0 < self.step <= 0.5:
             raise DomainError(f"step must lie in (0, 0.5], got {self.step}")
+        if abs(round(1.0 / self.step) * self.step - 1.0) > 1e-9:
+            raise DomainError(f"step {self.step} does not divide 1")
         if self.constraint_tol is None:
             object.__setattr__(self, "constraint_tol", self.step)
         if self.constraint_tol < self.step:
@@ -76,9 +79,8 @@ def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _simplex_grid(support: int, step: float) -> np.ndarray:
+    # step comes from an OracleGridSpec, which checked that it divides 1
     n = round(1.0 / step)
-    if abs(n * step - 1.0) > 1e-9:
-        raise DomainError(f"step {step} does not divide 1")
     axis = np.linspace(0.0, 1.0, n + 1)
     if support == 2:
         return np.column_stack([axis, axis[::-1]])
@@ -106,13 +108,21 @@ def min_kl_at_tv(spec: OracleGridSpec) -> float:
     found = False
     # chunk the p side so the pairwise arrays stay modest
     chunk = max(1, _GRID_CHUNK_PAIRS // grid.shape[0])
+    # one TV plane and one component buffer serve every chunk: arrays of
+    # this size made and freed per chunk page-fault afresh whenever the
+    # allocator has handed their memory back
+    plane = np.empty((chunk, grid.shape[0]))
+    part = np.empty_like(plane)
     for start in range(0, grid.shape[0], chunk):
         p = grid[start : start + chunk]
         # the TV plane one support component at a time, then KL only on
         # the feasible pairs
-        tv_var = np.abs(p[:, None, 0] - grid[None, :, 0])
+        tv_var, term = plane[: p.shape[0]], part[: p.shape[0]]
+        np.subtract(p[:, None, 0], grid[None, :, 0], out=tv_var)
+        np.abs(tv_var, out=tv_var)
         for c in range(1, spec.support_size):
-            tv_var += np.abs(p[:, None, c] - grid[None, :, c])
+            np.subtract(p[:, None, c], grid[None, :, c], out=term)
+            tv_var += np.abs(term, out=term)
         tv_var -= target
         np.abs(tv_var, out=tv_var)
         i, j = np.nonzero(tv_var <= tol)
@@ -251,7 +261,9 @@ def resolve_tv_convention(step: float = 1e-3) -> TvConvention:
     KL <= U holds everywhere with delta read as SUP, that convention is
     returned; otherwise VARIATIONAL is tried; if neither validates the
     implementation is broken and an error is raised. Deterministic.
+    ``step`` must pass OracleGridSpec's checks.
     """
+    OracleGridSpec(step=step)
     n = round(1.0 / step)
     a = np.arange(1, n) / n
     q1 = a[None, :]
@@ -297,8 +309,10 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     """The `divbounds verify` workflow: convention scan, fuzz, tightness.
 
     Returns (summary, fuzz): the object the command prints, and the
-    FuzzReport whose violations it writes to stderr.
+    FuzzReport whose violations it writes to stderr. ``step`` is checked
+    before any stage runs.
     """
+    OracleGridSpec(step=step)
     convention = resolve_tv_convention(step=step)
     fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)
     tightness = verify_tightness(step, gap_tol)

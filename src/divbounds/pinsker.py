@@ -18,15 +18,18 @@ The scale on which delta enters the formula is fixed empirically by
 D_KL <= U), which selects the SUP convention; attainment makes any looser
 scaling non-optimal. The choice is pinned here as ``PINNED_TV_CONVENTION``
 and guarded by a test that reruns the scan.
+
+numpy is imported only by the batched checker ``check_sandwich_rows``,
+and ``augmented`` only by ``check_sandwich_augmented``, so the scalar
+bounds load neither.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .augmented import gaussian_akl
 from .errors import AbsoluteContinuityError, DomainError, InvalidDistributionError
 from .measures import (
     PROB_SUM_TOL,
@@ -211,6 +214,7 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
     of the two phi values it subtracts (numpy's log1p rounds differently
     from math.log1p).
     """
+    import numpy as np
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] == 0:
@@ -280,6 +284,7 @@ def check_sandwich_augmented(
     and the caller asserts them). The checker only reports whether the
     chain holds; inconsistent inputs yield all_hold = False, not an error.
     """
+    from .augmented import gaussian_akl
     atv_var = convert_tv(atv, conv, TvConvention.VARIATIONAL)
     poly = poly_lower_bound(atv_var)
     vajda = _curve_lower_bound(atv_var)

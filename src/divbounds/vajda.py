@@ -19,12 +19,16 @@ Everything in this module works in the VARIATIONAL convention, delta in
 gamma interval [delta - 2, 2 - delta] only makes sense on that scale.
 Natural logarithms throughout; all three routes must share one base for
 the bound orderings to hold.
+
+The scalar routes use math only; numpy is imported inside the array
+drivers (``_delta_at_array``, ``vajda_lower_bound_array``), so a scalar
+caller never loads it. The formulas take a float or an array alike.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .measures import TvConvention, convert_tv
@@ -109,6 +113,7 @@ def _delta_at(t: float) -> float:
 
 
 def _delta_at_array(t: np.ndarray) -> np.ndarray:
+    import numpy as np
     m = np.expm1(-2.0 * t)
     hyperbolic = np.where(t <= _FAR_T, _delta_near(t, m), _delta_far(t, m))
     return np.where(t < _SMALL_T, _delta_series(t), hyperbolic)
@@ -179,6 +184,7 @@ def vajda_lower_bound_array(delta: np.ndarray) -> np.ndarray:
     stopping rule, on the same formulas; as numpy's functions round
     differently from math's, the results agree to 1e-14 relative.
     """
+    import numpy as np
     d = np.asarray(delta, dtype=float)
     if d.ndim != 1:
         raise DomainError(f"deltas must form a 1-D array, got shape {d.shape}")
@@ -275,11 +281,22 @@ def invert_poly_bound(xi: float) -> float:
     return delta
 
 
+def _log_grid(t_min: float, t_max: float, n_points: int) -> list[float]:
+    # n_points log-spaced values, 10^(i step + log10 t_min) with both
+    # endpoints exact: np.geomspace's formula, so the interior matches it
+    # to an ulp wherever math and numpy agree on the endpoints' log10
+    lo = math.log10(t_min)
+    step = (math.log10(t_max) - lo) / (n_points - 1)
+    inner = (10.0 ** (i * step + lo) for i in range(1, n_points - 1))
+    return [float(t_min), *inner, float(t_max)]
+
+
 def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
     """Sample the curve on a log-spaced parameter grid.
 
     Requires 0 < t_min < t_max <= T_MAX and n_points >= 2; the emitted
-    deltas are strictly increasing.
+    deltas are strictly increasing, and a grid too fine for delta(t) to
+    resolve raises DomainError.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min <= 0:
         raise DomainError(f"grid endpoints must be positive, got ({t_min}, {t_max})")
@@ -289,11 +306,12 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
         raise DomainError(f"t_max {t_max} exceeds {T_MAX}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    points = [curve_at_parameter(float(t)) for t in np.geomspace(t_min, t_max, n_points)]
+    points = [curve_at_parameter(t) for t in _log_grid(t_min, t_max, n_points)]
     for prev, cur in zip(points, points[1:]):
         if not cur.delta > prev.delta:
-            raise RuntimeError(
-                f"emitted deltas not strictly increasing at t = {cur.t:.6g}"
+            raise DomainError(
+                f"grid finer than delta(t) resolves: emitted deltas not "
+                f"strictly increasing at t = {cur.t:.17g}"
             )
     return points
 

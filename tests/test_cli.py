@@ -339,6 +339,28 @@ def test_verify_rejects_bad_tolerance(capsys):
     assert "gap-tol" in err
 
 
+@pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3"])
+def test_verify_rejects_bad_step_before_running(capsys, step):
+    # the step is checked before the scan and the fuzz run
+    code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", step)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("divbounds: error: step")
+
+
+@pytest.mark.parametrize(
+    "t_min, t_max, points",
+    [("1", "1.0000000000000009", "5"), ("300", "300.00000000001", "50")],
+)
+def test_curve_grid_finer_than_delta_resolves_exits_one(capsys, t_min, t_max, points):
+    code, out, err = run_cli(
+        capsys, "curve", "--t-min", t_min, "--t-max", t_max, "--points", points
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("divbounds: error: grid finer than delta(t) resolves")
+
+
 def test_numbers_round_trip_through_17_digits(capsys):
     _, out, _ = run_cli(
         capsys, "vajda", "--delta", "0.9020089100323521", "--convention", "variational"
@@ -365,10 +387,66 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["poly_lb"] == pytest.approx(0.532131, abs=1e-6)
 
 
-def test_cli_does_not_load_the_quadrature():
-    # the quadrature is an oracle for the tests; no runtime path uses it
+def _loaded_after(statement: str, *argv) -> list:
+    # the divbounds submodules and numpy, as a child process has them after
+    # running ``statement`` with ``argv`` as sys.argv[1:]
     proc = _run_child(
-        "-c", "import sys, divbounds.cli; print('divbounds.quadrature' in sys.modules)"
+        "-c",
+        f"import sys\n{statement}\nimport json\nprint(json.dumps(sorted("
+        "m for m in sys.modules if m == 'numpy' or m.startswith('divbounds.'))))",
+        *argv,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_does_not_load_the_quadrature():
+    # the quadrature is an oracle for the tests; no runtime path uses it
+    assert "divbounds.quadrature" not in _loaded_after("import divbounds.cli")
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import divbounds") == []
+
+
+def test_pinsker_loads_neither_augmented_nor_oracle():
+    loaded = _loaded_after("import divbounds.pinsker")
+    assert "divbounds.augmented" not in loaded
+    assert "divbounds.oracle" not in loaded
+    assert "numpy" not in loaded
+
+
+_NUMPY_FREE_COMMANDS = {
+    "vajda": ["vajda", "--delta", "1", "--convention", "variational"],
+    "poly_delta": ["poly", "--delta", "1"],
+    "poly_xi": ["poly", "--xi", "0.5"],
+    "rp_simple": [
+        "reverse-pinsker", "--delta", "0.3", "--convention", "sup",
+        "--m", "0.5", "--M", "2",
+    ],
+    "rp_four": [
+        "reverse-pinsker", "--delta", "0.3", "--convention", "sup",
+        "--m1", "0.5", "--M1", "2", "--m2", "0.25", "--M2", "4",
+    ],
+    "curve": ["curve", "--t-min", "0.01", "--t-max", "20", "--points", "8"],
+    "divergence_gaussian": [
+        "divergence", "--p", P_G1, "--q", '{"type":"gaussian1d","mu":1,"sigma2":2}',
+        "--convention", "sup",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _NUMPY_FREE_COMMANDS.values(), ids=_NUMPY_FREE_COMMANDS.keys()
+)
+def test_scalar_subcommands_do_not_load_numpy(argv):
+    statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
+    assert "numpy" not in _loaded_after(statement, *argv)
+
+
+def test_every_export_resolves():
+    for name in divbounds.__all__:
+        getattr(divbounds, name)
+    assert set(divbounds.__all__) <= set(dir(divbounds))
+    with pytest.raises(AttributeError):
+        divbounds.no_such_name

@@ -30,6 +30,10 @@ class TestOracleGridSpec:
             {"support_size": 4},
             {"step": 0.0},
             {"step": 0.7},
+            {"step": 2.0},
+            {"step": -0.1},
+            {"step": float("nan")},
+            {"step": 0.3},
             {"step": 0.01, "constraint_tol": 0.001},
             {"constraint_delta": 2.5},
         ],
@@ -224,6 +228,11 @@ class TestResolveTvConvention:
     def test_coarser_grid_agrees(self):
         assert resolve_tv_convention(step=0.01) is TvConvention.SUP
 
+    @pytest.mark.parametrize("step", [0.0, 2.0, float("nan"), 0.3])
+    def test_rejects_the_steps_the_grid_spec_rejects(self, step):
+        with pytest.raises(DomainError):
+            resolve_tv_convention(step=step)
+
 
 class TestRunVerify:
     def test_rows_judge_the_gap_against_floor_and_tolerance(self):
@@ -257,3 +266,12 @@ class TestRunVerify:
         assert fuzz.ok and fuzz.n_trials == 300
         failing, _ = oracle.run_verify(50, seed=1, step=0.01, gap_tol=1e-12)
         assert failing["all_ok"] is False
+
+    def test_checks_the_step_before_any_stage(self, monkeypatch):
+        def stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        for name in ("resolve_tv_convention", "fuzz_sandwich", "verify_tightness"):
+            monkeypatch.setattr(oracle, name, stage)
+        with pytest.raises(DomainError, match="does not divide 1"):
+            oracle.run_verify(50, seed=1, step=0.3, gap_tol=oracle.VERIFY_GAP_TOL)

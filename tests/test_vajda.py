@@ -31,6 +31,7 @@ from divbounds.vajda import (
     _delta_at,
     _delta_at_array,
     _l_at,
+    _log_grid,
     delta_max,
     vajda_lower_bound_array,
 )
@@ -286,6 +287,34 @@ class TestEmitCurve:
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(DomainError):
             emit_curve(*args)
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 1.0000000000000009, 5), (300.0, 300.00000000001, 50)]
+    )
+    def test_grid_finer_than_delta_resolves_rejected(self, args):
+        # neighbouring t give equal deltas, so the curve cannot increase
+        with pytest.raises(DomainError, match="not strictly increasing"):
+            emit_curve(*args)
+
+    def test_log_grid_is_geomspace(self):
+        # endpoints exact; the interior within an ulp of np.geomspace when
+        # math.log10 and numpy's log10 agree at both ends (numpy's power
+        # rounds differently from libm pow). Where they differ by an ulp,
+        # t moves by up to ln(10) |log10 t| 2^-52 relative, several ulps;
+        # both grids stay within 4e-15 relative of the exact sequence.
+        rng = np.random.default_rng(7)
+        agreeing = 0
+        for _ in range(5000):
+            a, b = np.sort(10.0 ** rng.uniform(-8.0, math.log10(T_MAX), size=2))
+            n = int(rng.integers(2, 60))
+            grid = np.array(_log_grid(float(a), float(b), n))
+            ref = np.geomspace(a, b, n)
+            assert grid[0] == a and grid[-1] == b
+            assert np.all(np.abs(grid - ref) <= 1e-14 * ref)
+            if all(math.log10(x) == np.log10(x) for x in (a, b)):
+                agreeing += 1
+                assert np.all(np.abs(grid - ref) <= np.spacing(ref))
+        assert agreeing > 4000
 
     def test_hundred_points(self):
         points = emit_curve(0.01, 20, 100)
