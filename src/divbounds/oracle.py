@@ -30,17 +30,21 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
-# grid pairs per array pass of the binary- and ternary-grid scans; bounds
-# their memory
-_GRID_CHUNK_PAIRS = 100_000
+# grid pairs per array pass of the binary- and ternary-grid scans: each
+# float64 temporary of a pass (80 KB) stays below glibc's 128 KiB mmap
+# threshold, so the allocator reuses it instead of page-faulting afresh
+_GRID_CHUNK_PAIRS = 10_000
+# the finest grid step the scans accept: at 1e-4 the convention scan
+# already covers 1e8 pairs, and finer steps exhaust memory
+MIN_GRID_STEP = 1e-4
 
 
 @dataclass(frozen=True)
 class OracleGridSpec:
     """Grid resolution and optional TV constraint for the scans.
 
-    ``step`` lies in (0, 0.5] and divides 1, so the grid holds both
-    ends of each probability. ``constraint_delta`` is a variational TV
+    ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so the grid holds
+    both ends of each probability. ``constraint_delta`` is a variational TV
     target; pairs whose TV falls within ``constraint_tol`` of it are
     feasible. The tolerance defaults to the step and may not be smaller.
     """
@@ -53,8 +57,10 @@ class OracleGridSpec:
     def __post_init__(self):
         if self.support_size not in (2, 3):
             raise DomainError(f"support_size must be 2 or 3, got {self.support_size}")
-        if not 0 < self.step <= 0.5:
-            raise DomainError(f"step must lie in (0, 0.5], got {self.step}")
+        if not MIN_GRID_STEP <= self.step <= 0.5:
+            raise DomainError(
+                f"step must lie in [{MIN_GRID_STEP}, 0.5], got {self.step}"
+            )
         if abs(round(1.0 / self.step) * self.step - 1.0) > 1e-9:
             raise DomainError(f"step {self.step} does not divide 1")
         if self.constraint_tol is None:
@@ -78,58 +84,96 @@ def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _simplex_grid(support: int, step: float) -> np.ndarray:
-    # step comes from an OracleGridSpec, which checked that it divides 1
-    n = round(1.0 / step)
-    axis = np.linspace(0.0, 1.0, n + 1)
+def _simplex_index(support: int, n: int) -> np.ndarray:
+    # integer index vectors of the grid points, each summing to n = 1/step;
+    # point i of the grid is axis[index[i]]
+    i = np.arange(n + 1)
     if support == 2:
-        return np.column_stack([axis, axis[::-1]])
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        return np.column_stack([i, n - i])
+    i, j = np.meshgrid(i, i, indexing="ij")
     keep = i + j <= n
     i, j = i[keep], j[keep]
-    # index the axis for the last coordinate so it is exactly on-grid and
-    # never a tiny negative from float subtraction
-    return np.column_stack([axis[i], axis[j], axis[n - i - j]])
+    return np.column_stack([i, j, n - i - j])
+
+
+def _simplex_grid(support: int, step: float) -> np.ndarray:
+    # step comes from an OracleGridSpec, which checked that it divides 1;
+    # the axis is indexed for every coordinate, so the last one is exactly
+    # on-grid and never a tiny negative from float subtraction
+    n = round(1.0 / step)
+    return np.linspace(0.0, 1.0, n + 1)[_simplex_index(support, n)]
+
+
+def _lattice_steps(support: int, n: int, lo: int, hi: int) -> np.ndarray:
+    # the zero-sum integer vectors with L1 length in [lo, hi]: the index
+    # differences of grid pairs; neither half of a zero-sum vector exceeds
+    # half its length, so no coordinate exceeds min(n, hi // 2)
+    reach = np.arange(-min(n, hi // 2), min(n, hi // 2) + 1)
+    if support == 2:
+        steps = np.column_stack([reach, -reach])
+    else:
+        i, j = np.meshgrid(reach, reach, indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        steps = np.column_stack([i, j, -i - j])
+    length = np.abs(steps).sum(axis=1)
+    return steps[(lo <= length) & (length <= hi)]
 
 
 def min_kl_at_tv(spec: OracleGridSpec) -> float:
     """Exhaustive minimum of KL over grid pairs near a fixed TV value.
 
-    Scans all ordered pairs (p, q) on the simplex grid and minimizes
-    kl(p, q) subject to |variational TV - constraint_delta| <=
-    constraint_tol. Pairs violating absolute continuity contribute +inf
-    and never achieve the minimum. Raises if no pair is feasible.
+    Minimizes kl(p, q) over all ordered pairs (p, q) on the simplex grid
+    with |variational TV - constraint_delta| <= constraint_tol. Pairs
+    violating absolute continuity contribute +inf and never achieve the
+    minimum. Raises if no pair is feasible.
+
+    Grid points are index vectors summing to n = 1/step, and a pair whose
+    indices differ by a zero-sum step of L1 length l has variational TV
+    l * step up to a few ulps. So only the pairs whose step lies in the
+    lattice band around (constraint_delta +- constraint_tol) / step, one
+    length wider on each side, can be feasible: those alone are formed,
+    and the float TV test and the KL are applied to them exactly as to
+    the full set of pairs, so the minimum is the full scan's.
     """
     if spec.constraint_delta is None:
         raise DomainError("min_kl_at_tv needs constraint_delta set")
-    grid = _simplex_grid(spec.support_size, spec.step)
+    k = spec.support_size
+    n = round(1.0 / spec.step)
+    axis = np.linspace(0.0, 1.0, n + 1)
+    index = _simplex_index(k, n)
+    grid = axis[index]
     target, tol = spec.constraint_delta, spec.constraint_tol
+    steps = _lattice_steps(
+        k,
+        n,
+        math.floor((target - tol) / spec.step) - 1,
+        math.ceil((target + tol) / spec.step) + 1,
+    )
     best = math.inf
     found = False
-    # chunk the p side so the pairwise arrays stay modest
-    chunk = max(1, _GRID_CHUNK_PAIRS // grid.shape[0])
-    # one TV plane and one component buffer serve every chunk: arrays of
-    # this size made and freed per chunk page-fault afresh whenever the
-    # allocator has handed their memory back
-    plane = np.empty((chunk, grid.shape[0]))
-    part = np.empty_like(plane)
-    for start in range(0, grid.shape[0], chunk):
-        p = grid[start : start + chunk]
-        # the TV plane one support component at a time, then KL only on
-        # the feasible pairs
-        tv_var, term = plane[: p.shape[0]], part[: p.shape[0]]
-        np.subtract(p[:, None, 0], grid[None, :, 0], out=tv_var)
-        np.abs(tv_var, out=tv_var)
-        for c in range(1, spec.support_size):
-            np.subtract(p[:, None, c], grid[None, :, c], out=term)
-            tv_var += np.abs(term, out=term)
+    # chunk the grid points so the candidate pairs of a pass stay modest
+    chunk = max(1, _GRID_CHUNK_PAIRS // max(1, steps.shape[0]))
+    for start in range(0, index.shape[0], chunk):
+        # the partner's index one support component at a time; the pairs
+        # whose partner stays inside the simplex are kept
+        b = [index[start : start + chunk, c, None] + steps[:, c] for c in range(k)]
+        inside = b[0] >= 0
+        for c in range(1, k):
+            inside &= b[c] >= 0
+        rows, cols = np.nonzero(inside)
+        p = grid[start + rows]
+        q = axis[np.column_stack([b_c[rows, cols] for b_c in b])]
+        # the TV one support component at a time, then KL only on the
+        # feasible pairs
+        tv_var = np.abs(p[:, 0] - q[:, 0])
+        for c in range(1, k):
+            tv_var += np.abs(p[:, c] - q[:, c])
         tv_var -= target
-        np.abs(tv_var, out=tv_var)
-        i, j = np.nonzero(tv_var <= tol)
-        if i.size == 0:
+        feasible = np.abs(tv_var) <= tol
+        if not feasible.any():
             continue
         found = True
-        kl = _kl_terms(p[i], grid[j]).sum(axis=1)
+        kl = _kl_terms(p[feasible], q[feasible]).sum(axis=1)
         best = min(best, float(kl.min()))
     if not found:
         raise DomainError(
@@ -272,9 +316,9 @@ def resolve_tv_convention(step: float = 1e-3) -> TvConvention:
     chunk = max(1, _GRID_CHUNK_PAIRS // a.size)
     for start in range(0, a.size, chunk):
         p1 = a[start : start + chunk, None]
-        kl = p1 * np.log(p1 / q1) + (1.0 - p1) * np.log((1.0 - p1) / (1.0 - q1))
         r1 = p1 / q1
         r2 = (1.0 - p1) / (1.0 - q1)
+        kl = p1 * np.log(r1) + (1.0 - p1) * np.log(r2)
         with np.errstate(invalid="ignore"):
             # phi(1) is 0/0; ratios of 1 occur only on the diagonal p = q,
             # where delta and the bound are 0
@@ -309,9 +353,11 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     """The `divbounds verify` workflow: convention scan, fuzz, tightness.
 
     Returns (summary, fuzz): the object the command prints, and the
-    FuzzReport whose violations it writes to stderr. ``step`` is checked
-    before any stage runs.
+    FuzzReport whose violations it writes to stderr. ``trials`` and
+    ``step`` are checked before any stage runs.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     OracleGridSpec(step=step)
     convention = resolve_tv_convention(step=step)
     fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)

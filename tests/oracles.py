@@ -6,7 +6,10 @@ values frozen below, from adaptive quadrature of |f_a - f_b| (the library's
 quadrature module, which no runtime path uses) and from Monte Carlo; the
 polynomial bound and the curve's power series come from exact rational
 arithmetic, and the curve constants were computed once at 50-digit
-precision and frozen.
+precision and frozen. The one exception is the projection search's
+per-step refinement, frozen below as the reference for its screened
+form: it scores with the library's ``kl_gaussian_1d``, whose own tests
+use the mpmath values here.
 """
 
 import math
@@ -346,3 +349,38 @@ def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float
         candidate = float(terms.sum(axis=2)[feasible].min())
         best = candidate if best is None else min(best, candidate)
     return best
+
+
+def refine_projection_per_step(p, q, v, value, perturbations):
+    """The projection search's refinement as a per-step vector loop.
+
+    A frozen copy of the loop ``augmented.search_projection_divergence``
+    ran before it screened steps on precomputed quadratic forms: each
+    step forms v + step * z, normalizes it, and scores its Rayleigh
+    quotient with ``kl_gaussian_1d``; a step is kept if it improves, and
+    the step size halves after 10 steps that do not. ``v`` and ``value``
+    are the draw phase's best unit row and its KL; ``perturbations`` are
+    the generator's next (100, n) draws. Returns (value, v).
+    """
+    from divbounds import Gaussian1D, kl_gaussian_1d
+
+    step = 0.5
+    stale = 0
+    for perturbation in perturbations:
+        candidate = v + step * perturbation
+        norm = float(np.linalg.norm(candidate))
+        if norm < 1e-12:
+            stale += 1
+        else:
+            candidate /= norm
+            s = float(np.einsum("i,ij,j->", candidate, q.sigma, candidate))
+            cand_value = kl_gaussian_1d(p, Gaussian1D(p.mu, s)) if s > 0 else math.inf
+            if cand_value < value:
+                value = cand_value
+                v = candidate
+                continue
+            stale += 1
+        if stale >= 10:
+            step *= 0.5
+            stale = 0
+    return value, v

@@ -339,13 +339,22 @@ def test_verify_rejects_bad_tolerance(capsys):
     assert "gap-tol" in err
 
 
-@pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3"])
+@pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3", "1e-9"])
 def test_verify_rejects_bad_step_before_running(capsys, step):
-    # the step is checked before the scan and the fuzz run
+    # the step is checked before the scan and the fuzz run; below the
+    # floor the scans would exhaust memory
     code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", step)
     assert code == 1
     assert out == ""
     assert err.startswith("divbounds: error: step")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_bad_trials_before_running(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("divbounds: error: trials")
 
 
 @pytest.mark.parametrize(

@@ -36,11 +36,16 @@ class TestOracleGridSpec:
             {"step": 0.3},
             {"step": 0.01, "constraint_tol": 0.001},
             {"constraint_delta": 2.5},
+            {"step": 1e-5},
+            {"step": 1e-9},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             OracleGridSpec(**kwargs)
+
+    def test_step_floor_is_accepted(self):
+        assert OracleGridSpec(step=oracle.MIN_GRID_STEP).step == 1e-4
 
 
 class TestMinKlAtTv:
@@ -78,25 +83,34 @@ class TestMinKlAtTv:
     @pytest.mark.parametrize(
         "support, step, deltas",
         [
-            (2, 1e-3, (0.0, 0.2, 1.3, 1.999, 2.0)),
-            (2, 0.05, tuple(np.linspace(0.0, 2.0, 41))),
-            (2, 0.5, (0.0, 0.5, 1.0, 2.0)),
-            (3, 0.02, (0.0, 0.5, 1.7, 2.0)),
-            (3, 0.05, tuple(np.linspace(0.0, 2.0, 21))),
+            (2, 1e-3, (0.0, 0.2, 0.2005, 1.3, 1.999, 2.0)),
+            (2, 0.05, tuple(np.linspace(0.0, 2.0, 81))),
+            (2, 0.5, (0.0, 0.25, 0.5, 1.0, 1.75, 2.0)),
+            (3, 0.02, (0.0, 0.5, 0.51, 1.7, 2.0)),
+            (3, 0.05, (*np.linspace(0.0, 2.0, 21), 0.025, 0.525, 1.025, 1.975)),
         ],
     )
     def test_equals_frozen_all_pairs_formula(self, support, step, deltas):
+        # lattice and half-lattice targets; on the grids small enough for
+        # the all-pairs reference to be quick, tolerances of 3 and 10 steps
+        # widen the band of lattice steps the scan forms, and 2.5 takes
+        # every pair
         grid = _simplex_grid(support, step)
-        for delta in deltas:
-            spec = OracleGridSpec(
-                support_size=support, step=step, constraint_delta=float(delta)
-            )
-            want = oracles.min_kl_at_tv_all_pairs(grid, float(delta), step)
-            if want is None:
-                with pytest.raises(DomainError):
-                    min_kl_at_tv(spec)
-            else:
-                assert min_kl_at_tv(spec) == want
+        wide = (3 * step, 10 * step, 2.5) if grid.shape[0] <= 300 else ()
+        for tol in (step, *wide):
+            for delta in deltas:
+                spec = OracleGridSpec(
+                    support_size=support,
+                    step=step,
+                    constraint_delta=float(delta),
+                    constraint_tol=tol,
+                )
+                want = oracles.min_kl_at_tv_all_pairs(grid, float(delta), tol)
+                if want is None:
+                    with pytest.raises(DomainError):
+                        min_kl_at_tv(spec)
+                else:
+                    assert min_kl_at_tv(spec) == want
 
 
 class TestFuzzSandwich:
@@ -267,11 +281,22 @@ class TestRunVerify:
         failing, _ = oracle.run_verify(50, seed=1, step=0.01, gap_tol=1e-12)
         assert failing["all_ok"] is False
 
-    def test_checks_the_step_before_any_stage(self, monkeypatch):
+    @pytest.fixture
+    def failing_stages(self, monkeypatch):
         def stage(*args, **kwargs):
             raise AssertionError("a stage ran")
 
         for name in ("resolve_tv_convention", "fuzz_sandwich", "verify_tightness"):
             monkeypatch.setattr(oracle, name, stage)
+
+    def test_checks_the_step_before_any_stage(self, failing_stages):
         with pytest.raises(DomainError, match="does not divide 1"):
             oracle.run_verify(50, seed=1, step=0.3, gap_tol=oracle.VERIFY_GAP_TOL)
+        # below the floor the scans would exhaust memory
+        with pytest.raises(DomainError, match="step must lie in"):
+            oracle.run_verify(50, seed=1, step=1e-9, gap_tol=oracle.VERIFY_GAP_TOL)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_checks_the_trials_before_any_stage(self, failing_stages, trials):
+        with pytest.raises(DomainError, match="trials must be >= 1"):
+            oracle.run_verify(trials, seed=1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
