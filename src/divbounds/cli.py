@@ -8,17 +8,18 @@ wherever a TV value crosses the CLI boundary; the one exception is
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
-A subcommand imports what it needs when it runs: ``augmented`` (and with
-it numpy) only for the Gaussian projection commands, ``oracle`` only for
+A subcommand imports what it needs when it runs: ``vajda`` only for the
+curve and polynomial commands and ``gaussian-akl``, ``pinsker`` only for
+``reverse-pinsker`` and ``sandwich``, ``augmented`` (and with it numpy)
+only for the Gaussian projection commands, ``oracle`` only for
 ``verify``. So the scalar subcommands (``vajda``, ``poly``,
 ``reverse-pinsker``, ``curve``, and ``divergence`` on two 1-D Gaussians)
-start without numpy.
+start without numpy, and ``divergence`` loads neither bound module.
 """
 
 import argparse
 import sys
 
-from . import pinsker, vajda
 from .errors import DivBoundsError
 from .measures import (
     DensityBounds,
@@ -88,6 +89,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_vajda(args) -> int:
+    from . import vajda
     point = vajda.curve_point_for_delta(args.delta, args.convention)
     reid = vajda.reid_lower_bound(args.delta, args.convention)
     print(
@@ -107,6 +109,7 @@ def _cmd_vajda(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from . import vajda
     if (args.delta is None) == (args.xi is None):
         raise DivBoundsError("poly needs exactly one of --delta or --xi")
     if args.delta is not None:
@@ -135,6 +138,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_reverse_pinsker(args) -> int:
+    from . import pinsker
     simple = args.m is not None or args.M is not None
     four = [args.m1, args.M1, args.m2, args.M2]
     if simple and any(v is not None for v in four):
@@ -169,6 +173,7 @@ def _cmd_reverse_pinsker(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from . import vajda
     points = vajda.emit_curve(args.t_min, args.t_max, args.points)
     if args.format == "csv":
         sys.stdout.write(vajda.curve_to_csv(points))
@@ -182,7 +187,7 @@ def _cmd_gaussian_akl(args) -> int:
     q = _load_distribution(args.q)
     if not isinstance(p, Gaussian1D) or not isinstance(q, GaussianND):
         raise DivBoundsError("gaussian-akl needs a gaussian1d --p and a gaussiannd --q")
-    from . import augmented
+    from . import augmented, vajda
     closed = augmented.gaussian_akl(p, q)
     result = augmented.search_projection_divergence(
         p, q, objective="kl", budget=args.budget, seed=args.seed
@@ -202,6 +207,7 @@ def _cmd_gaussian_akl(args) -> int:
 
 
 def _cmd_sandwich(args) -> int:
+    from . import pinsker
     p = _load_distribution(args.p)
     q = _load_distribution(args.q)
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):

@@ -74,17 +74,18 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         import numpy as np
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistributionError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistributionError("probs must be finite")
-        if np.any(arr < 0):
-            raise InvalidDistributionError(f"negative probability in {arr!r}")
         total = float(arr.sum())
+        # a non-finite entry makes the sum non-finite; finite entries whose
+        # sum overflows fall through to the later checks
+        if not math.isfinite(total) and not np.isfinite(arr).all():
+            raise InvalidDistributionError("probs must be finite")
+        if arr.min() < 0:
+            raise InvalidDistributionError(f"negative probability in {arr!r}")
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
@@ -210,11 +211,11 @@ def kl_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """
     import numpy as np
     _check_same_support(p, q)
-    pa, qa = p.probs, q.probs
-    mask = pa > 0
-    if np.any(qa[mask] == 0):
+    mask = p.probs > 0
+    pa, qa = p.probs[mask], q.probs[mask]
+    if not qa.all():
         return math.inf
-    val = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+    val = float((pa * np.log(pa / qa)).sum())
     return val if val > 0 else 0.0
 
 
@@ -319,12 +320,15 @@ def density_bounds_discrete(
     Requires p absolutely continuous w.r.t. q.
     """
     _check_same_support(p, q)
-    support = q.probs > 0
-    if (p.probs[~support] > 0).any():
-        raise AbsoluteContinuityError(
-            "p puts mass where q does not; relative density undefined"
-        )
-    ratios = p.probs[support] / q.probs[support]
+    pa, qa = p.probs, q.probs
+    if not qa.all():
+        support = qa > 0
+        if (pa[~support] > 0).any():
+            raise AbsoluteContinuityError(
+                "p puts mass where q does not; relative density undefined"
+            )
+        pa, qa = pa[support], qa[support]
+    ratios = pa / qa
     return DensityBounds(m=float(ratios.min()), M=float(ratios.max()))
 
 

@@ -12,15 +12,13 @@ def bisect_increasing(
     target: float,
     lo: float,
     hi: float,
-    f_tol: float,
-    x_tol: float,
     max_iter: int = BISECT_MAX_ITER,
 ) -> tuple[float, float]:
     """Solve f(x) = target for increasing f on (lo, hi) by bisection.
 
-    Iterates until the bracket is narrower than ``x_tol`` and the residual
-    is within ``f_tol``, or ``max_iter`` halvings have been spent. The
-    endpoints themselves are never evaluated. Returns (x, f(x)).
+    Halves the bracket until its midpoint equals an endpoint (the bracket
+    has collapsed to adjacent doubles) or ``max_iter`` halvings have been
+    spent. The endpoints themselves are never evaluated. Returns (x, f(x)).
     """
     mid = 0.5 * (lo + hi)
     fm = f(mid)
@@ -29,8 +27,6 @@ def bisect_increasing(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= x_tol and abs(fm - target) <= f_tol:
-            break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

@@ -163,9 +163,7 @@ def curve_point_for_delta(
         )
     # run the bisection to bracket collapse: delta'(t) <= 1 everywhere, so
     # the residual ends far below the documented 1e-12
-    t_star, _ = bisect_increasing(
-        _delta_at, d, lo=0.0, hi=T_MAX, f_tol=0.0, x_tol=0.0
-    )
+    t_star, _ = bisect_increasing(_delta_at, d, lo=0.0, hi=T_MAX)
     return CurvePoint(t=t_star, delta=_delta_at(t_star), l_value=_l_at(t_star))
 
 
@@ -260,25 +258,39 @@ def _poly(delta):
 def invert_poly_bound(xi: float) -> float:
     """The unique delta >= 0 with poly_lower_bound(delta) = xi.
 
-    Bisection on the strictly increasing polynomial; the residual
-    |poly(delta*) - xi| is at most 1e-10. Any pair of measures whose KL
-    divergence equals xi has total variation at most delta*.
+    Newton's method in u = delta^2 on the quartic u (c0 + c1 u + c2 u^2 +
+    c3 u^3), which is increasing and convex, so that a Newton step from
+    either side of the root lands above it. The first step starts from the
+    smallest of the upper bounds (xi / c_k)^(1/(k+1)) on the root; from
+    there the iterates descend monotonically, and the first step that does
+    not decrease u ends the search. Contract: |poly(delta*) - xi| <= 8 *
+    2^-52 * xi, evaluated exactly, for every finite xi >= 0, with delta*
+    finite up to the largest double. Any pair of measures whose KL
+    divergence equals xi has total variation at most delta* (to this
+    accuracy).
     """
     if not math.isfinite(xi) or xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     if xi == 0.0:
         return 0.0
-    hi = 1.0
-    # the bracket holds only finite deltas >= 0, so the bisection evaluates
-    # the polynomial without poly_lower_bound's argument check
-    while _poly(hi) < xi:
-        hi *= 2.0
-        if hi > 1e80:
-            raise DomainError(f"xi = {xi} too large to invert")
-    delta, _ = bisect_increasing(
-        _poly, xi, lo=0.0, hi=hi, f_tol=1e-10, x_tol=1e-13
-    )
-    return delta
+    c0, c1, c2, c3 = POLY_COEFFS
+
+    def newton(u):
+        # the residual divided by u, which stays finite at the largest xi
+        residual = c0 + u * (c1 + u * (c2 + u * c3)) - xi / u
+        slope = c0 + u * (2.0 * c1 + u * (3.0 * c2 + u * (4.0 * c3)))
+        return u - residual * (u / slope)
+
+    # each root is taken before its division, so that no bound overflows
+    u = newton(min(
+        xi / c0,
+        math.sqrt(xi) / math.sqrt(c1),
+        xi ** (1.0 / 3.0) / c2 ** (1.0 / 3.0),
+        math.sqrt(math.sqrt(xi)) / math.sqrt(math.sqrt(c3)),
+    ))
+    while (nxt := newton(u)) < u:
+        u = nxt
+    return math.sqrt(u)
 
 
 def _log_grid(t_min: float, t_max: float, n_points: int) -> list[float]:

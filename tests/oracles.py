@@ -384,3 +384,68 @@ def refine_projection_per_step(p, q, v, value, perturbations):
             step *= 0.5
             stale = 0
     return value, v
+
+
+# --- the discrete kernels as they were before their one-pass rewrite -----
+# Frozen copies: the one-pass kernels in ``measures`` must return the same
+# values bit for bit and raise the same errors with the same messages.
+
+
+def discrete_probs_reference(probs) -> np.ndarray:
+    """``DiscreteDistribution``'s checks, one numpy pass per check.
+
+    Returns the validated, read-only copy of ``probs``.
+    """
+    from divbounds import InvalidDistributionError
+    from divbounds.measures import PROB_SUM_TOL
+
+    arr = np.asarray(probs, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidDistributionError("probs must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidDistributionError("probs must be finite")
+    if np.any(arr < 0):
+        raise InvalidDistributionError(f"negative probability in {arr!r}")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _same_support_reference(pa: np.ndarray, qa: np.ndarray) -> None:
+    from divbounds import DomainError
+
+    if pa.size != qa.size:
+        raise DomainError(f"support lengths differ: {pa.size} vs {qa.size}")
+
+
+def kl_discrete_reference(pa: np.ndarray, qa: np.ndarray) -> float:
+    """``kl_discrete`` on two validated probability vectors, masking per use."""
+    _same_support_reference(pa, qa)
+    mask = pa > 0
+    if np.any(qa[mask] == 0):
+        return math.inf
+    val = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
+    return val if val > 0 else 0.0
+
+
+def tv_discrete_variational_reference(pa: np.ndarray, qa: np.ndarray) -> float:
+    """``tv_discrete`` on the variational scale."""
+    _same_support_reference(pa, qa)
+    return float(abs(pa - qa).sum())
+
+
+def density_bounds_discrete_reference(pa: np.ndarray, qa: np.ndarray):
+    """``density_bounds_discrete``, masking whether or not q has full support."""
+    from divbounds import AbsoluteContinuityError, DensityBounds
+
+    _same_support_reference(pa, qa)
+    support = qa > 0
+    if (pa[~support] > 0).any():
+        raise AbsoluteContinuityError(
+            "p puts mass where q does not; relative density undefined"
+        )
+    ratios = pa[support] / qa[support]
+    return DensityBounds(m=float(ratios.min()), M=float(ratios.max()))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,6 +144,12 @@ def test_poly_inversion(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["poly_at_bound"] == pytest.approx(0.318147, abs=1e-10)
+    # far below 1e-10 the inverse keeps its relative accuracy
+    code, out, _ = run_cli(capsys, "poly", "--xi", "1e-40")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["delta_upper_bound_variational"] == pytest.approx(math.sqrt(2e-40), rel=1e-15, abs=0.0)
+    assert payload["poly_at_bound"] == pytest.approx(1e-40, rel=1e-15, abs=0.0)
 
 
 def test_poly_requires_exactly_one_mode(capsys):
@@ -451,6 +458,18 @@ _NUMPY_FREE_COMMANDS = {
 def test_scalar_subcommands_do_not_load_numpy(argv):
     statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
     assert "numpy" not in _loaded_after(statement, *argv)
+
+
+_PINSKER_FREE_COMMANDS = ("vajda", "poly_delta", "poly_xi", "curve", "divergence_gaussian")
+
+
+@pytest.mark.parametrize("name", _PINSKER_FREE_COMMANDS)
+def test_curve_and_divergence_subcommands_do_not_load_pinsker(name):
+    statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = _loaded_after(statement, *_NUMPY_FREE_COMMANDS[name])
+    assert "divbounds.pinsker" not in loaded
+    if name == "divergence_gaussian":
+        assert "divbounds.vajda" not in loaded
 
 
 def test_every_export_resolves():

@@ -10,6 +10,7 @@ from divbounds import (
     AbsoluteContinuityError,
     DensityBounds,
     DiscreteDistribution,
+    DivBoundsError,
     DomainError,
     Gaussian1D,
     GaussianND,
@@ -344,3 +345,84 @@ class TestJsonParsing:
     def test_invalid_distribution_surfaces(self):
         with pytest.raises(InvalidDistributionError):
             distribution_from_json('{"type":"discrete","probs":[0.5,0.6]}')
+
+
+# --- the one-pass discrete kernels against their frozen multi-pass form ---
+
+
+def _outcome(fn, *args):
+    # a value as its exact bit pattern, or an error as its type and message
+    try:
+        value = fn(*args)
+    except DivBoundsError as exc:
+        return ("raised", type(exc), str(exc))
+    if isinstance(value, DensityBounds):
+        return ("bounds", value.m.hex(), value.M.hex())
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype, value.tobytes(), value.flags.writeable)
+    return ("value", float(value).hex())
+
+
+def _random_pair(rng):
+    # supports 2..50 with zeros in p, zeros in both, or mass of p where q has
+    # none; each vector normalized by its own sum
+    k = int(rng.integers(2, 51))
+    p = rng.exponential(size=k)
+    q = rng.exponential(size=k)
+    case = int(rng.integers(4))
+    zeros = rng.random(k) < 0.3
+    zeros[int(rng.integers(k))] = False
+    if case == 1:
+        p[zeros] = 0.0
+    elif case == 2:
+        p[zeros] = 0.0
+        q[zeros] = 0.0
+    elif case == 3:
+        q[zeros] = 0.0
+    return p / p.sum(), q / q.sum()
+
+
+def test_discrete_kernels_match_their_multi_pass_reference():
+    rng = np.random.default_rng(20)
+    for _ in range(2400):
+        pa, qa = _random_pair(rng)
+        for arr in (pa, qa):
+            assert _outcome(lambda a: DiscreteDistribution(a).probs, arr) == _outcome(
+                oracles.discrete_probs_reference, arr
+            )
+        p, q = DiscreteDistribution(pa), DiscreteDistribution(qa)
+        assert _outcome(kl_discrete, p, q) == _outcome(oracles.kl_discrete_reference, pa, qa)
+        assert _outcome(lambda a, b: tv_discrete(a, b, VAR), p, q) == _outcome(
+            oracles.tv_discrete_variational_reference, pa, qa
+        )
+        assert _outcome(density_bounds_discrete, p, q) == _outcome(
+            oracles.density_bounds_discrete_reference, pa, qa
+        )
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.5, math.nan],
+        [math.inf, 0.5],
+        [0.5, -math.inf],
+        [math.nan, -1.0],
+        [1.5, -0.5],
+        [1e308, 1e308],
+        [1e308, 1e308, -1.0],
+        [-1e308, -1e308],
+        [0.5, 0.6],
+        [0.5, 0.5 - 1e-11],
+        [],
+        [[0.5, 0.5]],
+        0.5,
+        [-0.0, 1.0],
+    ],
+    ids=["nan", "inf", "minus_inf", "nan_and_negative", "negative", "sum_overflows",
+         "overflow_and_negative", "negative_overflow", "wrong_sum", "sum_off_by_1e-11",
+         "empty", "two_d", "scalar", "negative_zero"],
+)
+def test_distribution_checks_match_their_multi_pass_reference(probs):
+    with np.errstate(over="ignore"):
+        got = _outcome(lambda a: DiscreteDistribution(a).probs, probs)
+        assert got == _outcome(oracles.discrete_probs_reference, probs)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -273,6 +274,16 @@ class TestInvertPolyBound:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             invert_poly_bound(-1e-9)
+
+    def test_relative_residual_over_the_double_range(self):
+        # |poly(delta*) - xi| <= 8 ulps of xi with poly evaluated exactly,
+        # from the smallest subnormal up to the largest double; 1e-40 is
+        # far below any absolute tolerance
+        for xi in [*np.geomspace(5e-324, 1e300, 1500), 1e-40, sys.float_info.max]:
+            delta_star = invert_poly_bound(float(xi))
+            assert math.isfinite(delta_star), xi
+            residual = oracles.poly_bound_fraction(Fraction(delta_star)) - Fraction(float(xi))
+            assert abs(residual) <= Fraction(8, 2**52) * Fraction(float(xi)), xi
 
     @given(st.floats(0.0, 2.0))
     @settings(max_examples=100)
