@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from divbounds import emit_curve, poly_lower_bound
+from divbounds.serialize import format_float
 
 
 def main() -> int:
@@ -27,10 +28,8 @@ def main() -> int:
         handle.write("t,delta,l_value,poly_lb,slack\n")
         for p in points:
             poly = poly_lower_bound(p.delta)
-            handle.write(
-                f"{p.t:.17g},{p.delta:.17g},{p.l_value:.17g},"
-                f"{poly:.17g},{p.l_value - poly:.17g}\n"
-            )
+            row = (p.t, p.delta, p.l_value, poly, p.l_value - poly)
+            handle.write(",".join(map(format_float, row)) + "\n")
     finally:
         if handle is not sys.stdout:
             handle.close()

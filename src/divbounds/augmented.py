@@ -45,7 +45,6 @@ ORTHONORMALITY_TOL = 1e-10
 _REFINE_STEPS = 100
 _REFINE_INITIAL_STEP = 0.5
 _REFINE_HALVE_AFTER = 10  # non-improving steps before the step size halves
-_MAX_REDRAWS = 10
 # frames drawn and scored per array pass of the search; bounds its memory
 _DRAW_BLOCK = 8192
 
@@ -135,44 +134,26 @@ def pushforward_gaussian(q: GaussianND, frame: StiefelFrame):
     return GaussianND(nu=mean, sigma=0.5 * (cov + cov.T))
 
 
-def _gram_schmidt_rows(g: np.ndarray) -> np.ndarray | None:
-    """Orthonormalize rows by modified Gram-Schmidt with a second pass.
-
-    Returns None if a row collapses (numerically rank deficient).
-    """
-    d, n = g.shape
-    rows = np.empty_like(g)
-    for i in range(d):
-        v = g[i].copy()
-        for _ in range(2):
-            for j in range(i):
-                v -= (v @ rows[j]) * rows[j]
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-8:
-            return None
-        rows[i] = v / norm
-    return rows
-
-
 def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
     """Draw a uniformly distributed frame with d orthonormal rows in R^n.
 
-    Orthonormalizes a d x n matrix of independent standard normal draws;
-    right-rotation invariance of the Gaussian makes the result uniform.
-    Deterministic given the seed (anything ``numpy.random.default_rng``
-    accepts); the offset is zero. Rank-deficient draws are retried, with
-    an error after 10 attempts.
+    Takes the reduced Householder QR of the transpose of a d x n matrix of
+    independent standard normal draws from ``default_rng(seed)`` (anything
+    ``numpy.random.default_rng`` accepts) and flips each column of Q by the
+    sign of R's diagonal entry (+1 where it is 0), which makes the frame
+    uniform on the Stiefel manifold (Mezzadri, Notices AMS 2007). That is
+    the QR whose R has a positive diagonal, so the rows equal the draw's
+    Gram-Schmidt orthonormalization to rounding, and they are orthonormal
+    to rounding whatever the draw. For d = 1 the frame is the normalized
+    normal row the projection search draws. Deterministic given the seed;
+    the offset is zero.
     """
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got d = {d}, n = {n}")
-    rng = np.random.default_rng(seed)
-    for _ in range(_MAX_REDRAWS):
-        rows = _gram_schmidt_rows(rng.standard_normal((d, n)))
-        if rows is not None:
-            return StiefelFrame(v=rows, b=np.zeros(d))
-    raise RuntimeError(
-        f"rank-deficient normal draws {_MAX_REDRAWS} times for d={d}, n={n}"
-    )
+    g = np.random.default_rng(seed).standard_normal((d, n))
+    q, r = np.linalg.qr(g.T)
+    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return StiefelFrame(v=q.T, b=np.zeros(d))
 
 
 def _nearest_end(p: Gaussian1D, q: GaussianND):

@@ -77,9 +77,11 @@ class DiscreteDistribution:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistributionError("probs must be a nonempty 1-D vector")
-        total = float(arr.sum())
         # a non-finite entry makes the sum non-finite; finite entries whose
-        # sum overflows fall through to the later checks
+        # sum overflows fall through to the later checks. Neither may print
+        # numpy's warning ahead of the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(arr.sum())
         if not math.isfinite(total) and not np.isfinite(arr).all():
             raise InvalidDistributionError("probs must be finite")
         if arr.min() < 0:

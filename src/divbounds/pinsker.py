@@ -226,7 +226,8 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
             raise InvalidDistributionError(f"{name}: probs must be finite")
         if np.any(arr < 0):
             raise InvalidDistributionError(f"{name}: negative probability")
-        totals = arr.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowed sum fails the check
+            totals = arr.sum(axis=1)
         off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
         if off.size:
             raise InvalidDistributionError(

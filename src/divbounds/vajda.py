@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .measures import TvConvention, convert_tv
 from .optimize import BISECT_MAX_ITER, bisect_increasing, golden_section_minimize
+from .serialize import dumps, format_float
 
 # Beyond T_MAX, delta(t) is within 1e-12 of its asymptote 2 - 1/t and the
 # hyperbolic terms saturate double precision; larger deltas are rejected
@@ -332,14 +333,11 @@ def curve_to_csv(points: list[CurvePoint]) -> str:
     """CSV with header t,delta,l_value; 17 significant digits per number."""
     lines = ["t,delta,l_value"]
     lines.extend(
-        f"{p.t:.17g},{p.delta:.17g},{p.l_value:.17g}" for p in points
+        ",".join(map(format_float, (p.t, p.delta, p.l_value))) for p in points
     )
     return "\n".join(lines) + "\n"
 
 
 def curve_to_json(points: list[CurvePoint]) -> str:
     """JSON array of [t, delta, l_value] triples, 17 significant digits."""
-    rows = ",".join(
-        f"[{p.t:.17g},{p.delta:.17g},{p.l_value:.17g}]" for p in points
-    )
-    return f"[{rows}]"
+    return dumps([(p.t, p.delta, p.l_value) for p in points])

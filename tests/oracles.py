@@ -136,6 +136,138 @@ AKL_SIGMA2_9_ZETA1_4 = 0.21953489189183562  # (1/2)(9/4 - 1 + log(4/9))
 RP_SUP_01_HALF_TWO = 0.069314718055994531  # 0.1 * log 2
 RP_SUP_01_QUARTER_FOUR = 0.13862943611198906  # 0.1 * log 4
 
+# sample_stiefel(d, n, seed).v keyed by (d, n, seed), as drawn by the
+# sampler's modified Gram-Schmidt form (second pass, redraw on collapse)
+# before it became a sign-corrected Householder QR of the same draw
+STIEFEL_FRAMES = {
+    (1, 1, 0): (
+        (1.0,),
+    ),
+    (1, 3, 9): (
+        (-0.43242071356141254, 0.13080281362349352, -0.8921339307700479),
+    ),
+    (2, 2, 5): (
+        (-0.5179660975621441, -0.8554011467003324),
+        (-0.8554011467003323, 0.5179660975621441),
+    ),
+    (3, 5, 1234): (
+        (
+            -0.8126901413157851,
+            0.032480466837258214,
+            0.3754216450949393,
+            0.07733462255576803,
+            0.437673049239417,
+        ),
+        (
+            0.391305749904282,
+            -0.4400656640722153,
+            0.5330054231109148,
+            -0.46992810530242934,
+            0.3850906596864576,
+        ),
+        (
+            -0.06096157611378684,
+            0.6085468467258999,
+            0.4330018106306308,
+            -0.49235527408237517,
+            -0.44277549350833717,
+        ),
+    ),
+    (8, 8, 7): (
+        (
+            0.0006191581263477366,
+            0.15036395757763224,
+            -0.13797847224057333,
+            -0.4482507574128623,
+            -0.2288439158740952,
+            -0.49911339854998105,
+            0.030271347933593214,
+            0.6745542377239508,
+        ),
+        (
+            -0.3473556276099952,
+            -0.4998225771149842,
+            0.40257240850454057,
+            0.4373059004790433,
+            0.1691075075579161,
+            -0.44946069244515147,
+            -0.03316427692454836,
+            0.21096997952603264,
+        ),
+        (
+            -0.5128914303751667,
+            -0.33491018912233855,
+            -0.4489923350631366,
+            -0.1005254505693074,
+            -0.4429699544907775,
+            0.05058121998243139,
+            -0.42767497979962865,
+            -0.17717599715835966,
+        ),
+        (
+            0.35512695986770476,
+            -0.11376743492924578,
+            -0.565227342545694,
+            0.1534883043620597,
+            0.5479219973444377,
+            -0.25951918519049044,
+            -0.3870655226354735,
+            0.02264427783365526,
+        ),
+        (
+            -0.07177107599664795,
+            -0.25480083906611656,
+            0.35887147948085574,
+            -0.5861201929290574,
+            0.4050686893900171,
+            0.3410331470210033,
+            -0.3940123190099218,
+            0.1482223589568757,
+        ),
+        (
+            -0.43181411625818256,
+            -0.05062606245196645,
+            -0.24961536680758564,
+            -0.3513327258025632,
+            0.4260327368440735,
+            -0.197011160918494,
+            0.5615550219819203,
+            -0.29928201103977253,
+        ),
+        (
+            -0.5118899417180671,
+            0.7207945159533944,
+            0.06423758778720255,
+            0.18852924719174693,
+            0.24213923961558043,
+            -0.02028760697279125,
+            -0.3406376190435844,
+            0.06064010836075626,
+        ),
+        (
+            0.19111534959819412,
+            0.12421355651744034,
+            0.32030968387845093,
+            -0.2676862721006898,
+            -0.1355591013206814,
+            -0.5687122665703468,
+            -0.2804183148767152,
+            -0.5944302635726266,
+        ),
+    ),
+}
+
+# min_kl_at_tv_all_pairs on the support-3, step-0.02 simplex grid at
+# tol = 0.02, keyed by the variational target; inf where the only feasible
+# pairs give p mass where q has none
+MIN_KL_AT_TV_S3_STEP002 = {
+    0.0: 0.0,
+    0.5: 0.11672502135540756,
+    0.51: 0.1373436246081205,
+    1.7: 1.8317679437603358,
+    2.0: math.inf,
+}
+
 
 def phi_ratio_weight(x: float) -> float:
     """x log x / (x - 1), the per-unit-TV divergence weight; phi(1) = 1."""

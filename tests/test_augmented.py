@@ -116,6 +116,30 @@ class TestSampleStiefel:
         with pytest.raises(DomainError):
             sample_stiefel(0, 2, seed=0)
 
+    @pytest.mark.parametrize("d, n, seed", sorted(oracles.STIEFEL_FRAMES))
+    def test_matches_frozen_gram_schmidt_frames(self, d, n, seed):
+        # the sign-corrected QR is the Gram-Schmidt map of the same draw
+        got = sample_stiefel(d, n, seed).v
+        want = np.array(oracles.STIEFEL_FRAMES[d, n, seed])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(1, 3), (3, 5), (2, 2)])
+    def test_diagonal_signs_balanced(self, d, n):
+        # a uniform frame is as likely to have v[i, i] > 0 as < 0; an
+        # unsigned Householder Q fixes the sign (binomial sd here: 22)
+        diag = np.array([np.diagonal(sample_stiefel(d, n, s).v) for s in range(2000)])
+        positive = (diag > 0).sum(axis=0)
+        assert np.all((900 <= positive) & (positive <= 1100)), positive
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_row_is_the_normalized_normal_draw(self, n):
+        # the law of the projection search's rows
+        for seed in range(20):
+            g = np.random.default_rng(seed).standard_normal(n)
+            got = sample_stiefel(1, n, seed).v[0]
+            assert np.max(np.abs(got - g / np.linalg.norm(g))) <= 1e-15
+
 
 class TestGaussianAkl:
     def test_inside_spectrum_is_zero(self, q3):

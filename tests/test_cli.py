@@ -403,6 +403,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["poly_lb"] == pytest.approx(0.532131, abs=1e-6)
 
 
+def test_overflowing_probability_sum_prints_one_error_line():
+    # numpy's overflow warning must not print ahead of the error
+    p = '{"type":"discrete","probs":[1e308,1e308]}'
+    proc = _run_child(
+        "-m", "divbounds", "divergence", "--p", p, "--q", Q_DISC, "--convention", "sup"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "divbounds: error: probabilities sum to inf, not 1"
+    ]
+
+
 def _loaded_after(statement: str, *argv) -> list:
     # the divbounds submodules and numpy, as a child process has them after
     # running ``statement`` with ``argv`` as sys.argv[1:]

@@ -51,6 +51,10 @@ class TestDiscreteDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidDistributionError):
             disc(0.5, 0.6)
+        with pytest.raises(InvalidDistributionError):
+            disc(1e308, 1e308)  # the sum overflows
+        with pytest.raises(InvalidDistributionError):
+            disc(math.inf, -math.inf)  # the sum is NaN
 
     def test_rejects_empty_and_matrix(self):
         with pytest.raises(InvalidDistributionError):

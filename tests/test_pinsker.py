@@ -254,6 +254,7 @@ class TestSandwichRows:
             ([[0.5, 0.5]], [[1.0, 0.0]], AbsoluteContinuityError),
             ([[1.0, 0.0]], [[0.5, 0.5]], DomainError),  # m = 0
             ([[0.5, 0.5]], [[0.5, 0.5, 0.0]], DomainError),  # shapes differ
+            ([[1e308, 1e308]], [[0.5, 0.5]], InvalidDistributionError),  # sum overflows
         ],
     )
     def test_rejects_what_the_scalar_checker_rejects(self, p, q, error):

@@ -352,3 +352,19 @@ class TestEmitCurve:
         points = emit_curve(0.5, 2.0, 4)
         rows = json.loads(curve_to_json(points))
         assert rows == [[p.t, p.delta, p.l_value] for p in points]
+
+    def test_output_bytes_pinned(self):
+        # %.17g, not repr: 0.74420434357578169 keeps its 17th digit and
+        # t = 4 prints without a decimal point
+        points = emit_curve(0.5, 4.0, 3)
+        assert curve_to_csv(points) == (
+            "t,delta,l_value\n"
+            "0.5,0.48655963906172106,0.11997825804861599\n"
+            "1.4142135623730949,1.1664887906724837,0.74420434357578169\n"
+            "4,1.7459712958184583,2.0609776422550166\n"
+        )
+        assert curve_to_json(points) == (
+            "[[0.5,0.48655963906172106,0.11997825804861599],"
+            "[1.4142135623730949,1.1664887906724837,0.74420434357578169],"
+            "[4,1.7459712958184583,2.0609776422550166]]"
+        )
