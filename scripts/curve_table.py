@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from divbounds import emit_curve, poly_lower_bound
-from divbounds.serialize import format_float
+from divbounds.serialize import dumps
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
         for p in points:
             poly = poly_lower_bound(p.delta)
             row = (p.t, p.delta, p.l_value, poly, p.l_value - poly)
-            handle.write(",".join(map(format_float, row)) + "\n")
+            handle.write(",".join(map(dumps, row)) + "\n")
     finally:
         if handle is not sys.stdout:
             handle.close()

@@ -229,6 +229,8 @@ def search_projection_divergence(
         raise DomainError(f"objective must be 'kl', got {objective!r}")
     if budget < 1:
         raise DomainError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     n = q.dim
     rng = np.random.default_rng(seed)
     best_v = None

@@ -1,10 +1,11 @@
 """Command-line front end: every computation as a subcommand.
 
 Inputs are JSON distribution literals given inline, as a file path, or as
-``-`` for standard input. Numbers print with 17 significant digits so
-output round-trips losslessly. A TV convention must be stated explicitly
-wherever a TV value crosses the CLI boundary; the one exception is
-``poly``, whose delta is documented as variational and echoed back.
+``-`` for standard input. Numbers print as the shortest text that parses
+back to the same double, so output round-trips losslessly. A TV
+convention must be stated explicitly wherever a TV value crosses the CLI
+boundary; the one exception is ``poly``, whose delta is documented as
+variational and echoed back.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 
@@ -242,8 +243,8 @@ def _cmd_sandwich(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracle
     gap_tol = oracle.VERIFY_GAP_TOL if args.gap_tol is None else args.gap_tol
-    if gap_tol <= 0:
-        raise DivBoundsError(f"--gap-tol must be positive, got {gap_tol}")
+    if not 0 < gap_tol < float("inf"):
+        raise DivBoundsError(f"--gap-tol must be positive and finite, got {gap_tol}")
     summary, fuzz = oracle.run_verify(args.trials, args.seed, args.step, gap_tol)
     print(dumps(summary))
     if not fuzz.ok:

@@ -268,6 +268,8 @@ def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     if max_support < 2:
         raise DomainError(f"max_support must be >= 2, got {max_support}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     violations = []
     margins = [None, None, None]
@@ -353,11 +355,13 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     """The `divbounds verify` workflow: convention scan, fuzz, tightness.
 
     Returns (summary, fuzz): the object the command prints, and the
-    FuzzReport whose violations it writes to stderr. ``trials`` and
-    ``step`` are checked before any stage runs.
+    FuzzReport whose violations it writes to stderr. ``trials``, ``seed``
+    and ``step`` are checked before any stage runs.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     OracleGridSpec(step=step)
     convention = resolve_tv_convention(step=step)
     fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)

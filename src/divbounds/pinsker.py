@@ -124,11 +124,21 @@ def _chain_holds(poly_lb, vajda_lb, divergence, upper):
     )
 
 
-def _curve_lower_bound(delta_var: float) -> float:
+def _sandwich_report(
+    delta_var: float, divergence: float, upper: float
+) -> SandwichReport:
+    poly = poly_lower_bound(delta_var)
     # near-disjoint pairs can push delta past the curve's resolvable range;
     # the curve is increasing, so its value at the range end is still a
     # valid (conservative) lower bound and keeps the checkers total
-    return vajda_lower_bound(min(delta_var, delta_max()))
+    vajda = vajda_lower_bound(min(delta_var, delta_max()))
+    return SandwichReport(
+        poly_lb=poly,
+        vajda_lb=vajda,
+        divergence=divergence,
+        upper=upper,
+        all_hold=_chain_holds(poly, vajda, divergence, upper),
+    )
 
 
 def _phi(x, xp=math):
@@ -187,17 +197,10 @@ def check_sandwich_same_dim(
     """
     delta_sup = tv_discrete(p, q, TvConvention.SUP)
     db = density_bounds_discrete(p, q)
-    delta_var = 2.0 * delta_sup
-    poly = poly_lower_bound(delta_var)
-    vajda = _curve_lower_bound(delta_var)
-    divergence = kl_discrete(p, q)
-    upper = reverse_pinsker(delta_sup, TvConvention.SUP, db)
-    return SandwichReport(
-        poly_lb=poly,
-        vajda_lb=vajda,
-        divergence=divergence,
-        upper=upper,
-        all_hold=_chain_holds(poly, vajda, divergence, upper),
+    return _sandwich_report(
+        2.0 * delta_sup,
+        kl_discrete(p, q),
+        reverse_pinsker(delta_sup, TvConvention.SUP, db),
     )
 
 
@@ -231,7 +234,7 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
         off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
         if off.size:
             raise InvalidDistributionError(
-                f"{name}: row {off[0]} sums to {totals[off[0]]!r}, not 1"
+                f"{name}: row {off[0]} sums to {float(totals[off[0]])}, not 1"
             )
     support = q > 0
     if np.any(p[~support] > 0):
@@ -286,15 +289,8 @@ def check_sandwich_augmented(
     chain holds; inconsistent inputs yield all_hold = False, not an error.
     """
     from .augmented import gaussian_akl
-    atv_var = convert_tv(atv, conv, TvConvention.VARIATIONAL)
-    poly = poly_lower_bound(atv_var)
-    vajda = _curve_lower_bound(atv_var)
-    divergence = gaussian_akl(p, q)
-    upper = augmented_upper_bound(atv, conv, bounds)
-    return SandwichReport(
-        poly_lb=poly,
-        vajda_lb=vajda,
-        divergence=divergence,
-        upper=upper,
-        all_hold=_chain_holds(poly, vajda, divergence, upper),
+    return _sandwich_report(
+        convert_tv(atv, conv, TvConvention.VARIATIONAL),
+        gaussian_akl(p, q),
+        augmented_upper_bound(atv, conv, bounds),
     )

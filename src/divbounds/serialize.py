@@ -1,38 +1,13 @@
-"""JSON emission with 17-significant-digit floats.
+"""The one output format: compact JSON, floats as their shortest repr.
 
-The stdlib json module hardcodes repr() for floats; this tiny emitter
-formats them with %.17g so every double round-trips through decimal text.
-Non-finite floats follow the stdlib's extended spelling (Infinity, NaN).
+``repr`` of a float is the shortest decimal text that parses back to the
+same double, and the stdlib encoder uses it (``np.float64`` included, as a
+float subclass). Non-finite floats print as Infinity, -Infinity and NaN.
+The separators carry no spaces, so a number follows ``:``, ``,`` or ``[``
+directly.
 """
 
+import functools
 import json
-import math
 
-
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return f"{x:.17g}"
-
-
-def dumps(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+dumps = functools.partial(json.dumps, separators=(",", ":"))

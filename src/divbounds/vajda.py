@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .measures import TvConvention, convert_tv
 from .optimize import BISECT_MAX_ITER, bisect_increasing, golden_section_minimize
-from .serialize import dumps, format_float
+from .serialize import dumps
 
 # Beyond T_MAX, delta(t) is within 1e-12 of its asymptote 2 - 1/t and the
 # hyperbolic terms saturate double precision; larger deltas are rejected
@@ -330,14 +330,14 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
 
 
 def curve_to_csv(points: list[CurvePoint]) -> str:
-    """CSV with header t,delta,l_value; 17 significant digits per number."""
+    """CSV with header t,delta,l_value; each number as ``serialize.dumps``
+    prints it, the shortest text that round-trips."""
     lines = ["t,delta,l_value"]
-    lines.extend(
-        ",".join(map(format_float, (p.t, p.delta, p.l_value))) for p in points
-    )
+    lines.extend(",".join(map(dumps, (p.t, p.delta, p.l_value))) for p in points)
     return "\n".join(lines) + "\n"
 
 
 def curve_to_json(points: list[CurvePoint]) -> str:
-    """JSON array of [t, delta, l_value] triples, 17 significant digits."""
+    """JSON array of [t, delta, l_value] triples, each number the shortest
+    text that round-trips."""
     return dumps([(p.t, p.delta, p.l_value) for p in points])

@@ -366,6 +366,8 @@ class TestSearchProjectionDivergence:
             search_projection_divergence(p, q3, "hellinger", budget=10, seed=0)
         with pytest.raises(DomainError):
             search_projection_divergence(p, q3, "kl", budget=0, seed=0)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            search_projection_divergence(p, q3, "kl", budget=10, seed=-1)
 
     def test_json_serialization(self, q3):
         p = Gaussian1D(mu=0.0, sigma2=0.25)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divbounds
 import oracles
@@ -30,6 +32,7 @@ from divbounds import (
 )
 from divbounds.cli import main
 from divbounds.pinsker import AugmentedDensityBounds
+from divbounds.serialize import dumps
 
 P_DISC = '{"type":"discrete","probs":[0.75,0.25]}'
 Q_DISC = '{"type":"discrete","probs":[0.5,0.5]}'
@@ -341,9 +344,26 @@ def test_verify_failure_exits_two(capsys):
 
 
 def test_verify_rejects_bad_tolerance(capsys):
-    code, _, err = run_cli(capsys, "verify", "--trials", "50", "--gap-tol", "-1")
-    assert code == 1
-    assert "gap-tol" in err
+    # nan would fail every tightness row, inf would pass every one
+    for gap_tol in ("-1", "nan", "inf"):
+        code, out, err = run_cli(capsys, "verify", "--trials", "50", "--gap-tol", gap_tol)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("divbounds: error: --gap-tol")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--trials", "50", "--seed", "-1"],
+        ["gaussian-akl", "--p", P_G1, "--q", Q_G3, "--budget", "50", "--seed", "-1"],
+    ],
+    ids=["verify", "gaussian-akl"],
+)
+def test_negative_seed_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["divbounds: error: seed must be >= 0, got -1"]
 
 
 @pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3", "1e-9"])
@@ -377,12 +397,86 @@ def test_curve_grid_finer_than_delta_resolves_exits_one(capsys, t_min, t_max, po
     assert err.startswith("divbounds: error: grid finer than delta(t) resolves")
 
 
-def test_numbers_round_trip_through_17_digits(capsys):
+def test_numbers_round_trip_through_decimal_text(capsys):
     _, out, _ = run_cli(
         capsys, "vajda", "--delta", "0.9020089100323521", "--convention", "variational"
     )
     payload = json.loads(out)
     assert payload["vajda_lb"] == vajda_lower_bound(0.9020089100323521)
+
+
+_FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals and zeros
+    st.integers(-(2**70), 2**70).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_FINITE_DOUBLES, as_numpy=st.booleans())
+def test_floats_print_as_their_shortest_repr(x, as_numpy):
+    text = dumps(np.float64(x) if as_numpy else x)
+    assert text == repr(x)
+    parsed = float(text)
+    assert parsed == x
+    assert math.copysign(1.0, parsed) == math.copysign(1.0, x)
+
+
+@pytest.mark.parametrize(
+    "x, text", [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")]
+)
+def test_non_finite_floats_keep_their_spelling(x, text):
+    assert dumps(x) == dumps(np.float64(x)) == text
+    assert dumps({"a": [x]}) == f'{{"a":[{text}]}}'
+
+
+def test_numpy_bool_is_not_serialized():
+    with pytest.raises(TypeError):
+        dumps({"all_ok": np.bool_(True)})
+
+
+_JSON_COMMANDS = {
+    "divergence_discrete": [
+        "divergence", "--p", P_DISC, "--q", Q_DISC, "--convention", "sup",
+    ],
+    "divergence_gaussian": [
+        "divergence", "--p", P_G1, "--q", '{"type":"gaussian1d","mu":1,"sigma2":2}',
+        "--convention", "sup",
+    ],
+    "vajda": ["vajda", "--delta", "1.0", "--convention", "variational"],
+    "poly_delta": ["poly", "--delta", "1"],
+    "poly_xi": ["poly", "--xi", "0.318147"],
+    "rp_simple": [
+        "reverse-pinsker", "--delta", "0.1", "--convention", "sup",
+        "--m", "0.5", "--M", "2",
+    ],
+    "rp_four": [
+        "reverse-pinsker", "--delta", "0.1", "--convention", "sup",
+        "--m1", "0.5", "--M1", "2", "--m2", "0.25", "--M2", "4",
+    ],
+    "curve_json": [
+        "curve", "--t-min", "0.01", "--t-max", "20", "--points", "10",
+        "--format", "json",
+    ],
+    "gaussian_akl": ["gaussian-akl", "--p", P_G1, "--q", Q_G3, "--budget", "500"],
+    "sandwich_discrete": ["sandwich", "--p", P_DISC, "--q", Q_DISC],
+    "sandwich_augmented": [
+        "sandwich", "--p", P_G1, "--q", Q_G3,
+        "--m1", "0.1", "--M1", "20", "--m2", "0.1", "--M2", "20",
+        "--convention", "sup",
+    ],
+    "verify": ["verify", "--trials", "50", "--seed", "1", "--step", "0.01"],
+}
+
+
+@pytest.mark.parametrize("argv", _JSON_COMMANDS.values(), ids=_JSON_COMMANDS.keys())
+def test_json_output_is_compact_and_canonical(capsys, argv):
+    # one line, no spaces, each number its shortest repr: what a reader
+    # matching a number right after ':', ',' or '[' relies on
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.strip() == dumps(json.loads(out))
 
 
 def _run_child(*args):

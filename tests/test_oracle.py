@@ -123,6 +123,8 @@ class TestFuzzSandwich:
             fuzz_sandwich(0, max_support=4, seed=1)
         with pytest.raises(DomainError):
             fuzz_sandwich(10, max_support=1, seed=1)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            fuzz_sandwich(10, max_support=4, seed=-1)
 
     def test_no_violations_small_run(self):
         report = fuzz_sandwich(2000, max_support=6, seed=123)
@@ -299,6 +301,8 @@ class TestRunVerify:
         # below the floor the scans would exhaust memory
         with pytest.raises(DomainError, match="step must lie in"):
             oracle.run_verify(50, seed=1, step=1e-9, gap_tol=oracle.VERIFY_GAP_TOL)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            oracle.run_verify(50, seed=-1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_checks_the_trials_before_any_stage(self, failing_stages, trials):

@@ -261,6 +261,12 @@ class TestSandwichRows:
         with pytest.raises(error):
             check_sandwich_rows(np.array(p), np.array(q))
 
+    @pytest.mark.parametrize("row, total", [([0.5, 0.6], "1.1"), ([1e308, 1e308], "inf")])
+    def test_bad_row_total_prints_as_a_plain_float(self, row, total):
+        with pytest.raises(InvalidDistributionError) as caught:
+            check_sandwich_rows(np.array([row]), np.array([[0.5, 0.5]]))
+        assert str(caught.value) == f"p: row 0 sums to {total}, not 1"
+
 
 class TestSandwichAugmented:
     def setup_method(self):

@@ -339,7 +339,7 @@ class TestEmitCurve:
         assert deltas == sorted(deltas)
         assert len(set(deltas)) == len(deltas)
 
-    def test_csv_round_trips_17_digits(self):
+    def test_csv_round_trips(self):
         points = emit_curve(0.5, 2.0, 4)
         text = curve_to_csv(points)
         lines = text.strip().split("\n")
@@ -354,17 +354,17 @@ class TestEmitCurve:
         assert rows == [[p.t, p.delta, p.l_value] for p in points]
 
     def test_output_bytes_pinned(self):
-        # %.17g, not repr: 0.74420434357578169 keeps its 17th digit and
-        # t = 4 prints without a decimal point
+        # each number is its shortest repr: 0.7442043435757817 has 16
+        # digits, and t = 4 prints as 4.0
         points = emit_curve(0.5, 4.0, 3)
         assert curve_to_csv(points) == (
             "t,delta,l_value\n"
             "0.5,0.48655963906172106,0.11997825804861599\n"
-            "1.4142135623730949,1.1664887906724837,0.74420434357578169\n"
-            "4,1.7459712958184583,2.0609776422550166\n"
+            "1.414213562373095,1.1664887906724837,0.7442043435757817\n"
+            "4.0,1.7459712958184583,2.0609776422550166\n"
         )
         assert curve_to_json(points) == (
             "[[0.5,0.48655963906172106,0.11997825804861599],"
-            "[1.4142135623730949,1.1664887906724837,0.74420434357578169],"
-            "[4,1.7459712958184583,2.0609776422550166]]"
+            "[1.414213562373095,1.1664887906724837,0.7442043435757817],"
+            "[4.0,1.7459712958184583,2.0609776422550166]]"
         )
