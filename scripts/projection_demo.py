@@ -16,6 +16,7 @@ import numpy as np
 from divbounds import (
     AugmentedDensityBounds,
     DensityBounds,
+    DivBoundsError,
     Gaussian1D,
     GaussianND,
     TvConvention,
@@ -45,7 +46,13 @@ def main() -> int:
     parser.add_argument("--budget", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    try:
+        return run(args)
+    except DivBoundsError as exc:
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
+
+def run(args) -> int:
     p = Gaussian1D(mu=0.0, sigma2=args.sigma2)
     q = rotated_gaussian(args.eigenvalues, seed=args.seed)
 

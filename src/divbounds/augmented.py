@@ -12,6 +12,8 @@ drawn frames as array expressions, a block of rows at a time. Along a
 refinement direction v + h z the quotient is a ratio of two quadratics
 in h, so each refinement step is screened with float arithmetic on terms
 computed once per frame, and vector work is left to the steps it passes.
+Steps are screened and scored through one scalar Gaussian-KL kernel on
+plain floats, so the search builds no measure until its witness.
 
 For Gaussians the KL infimum has a closed form in the variance sigma^2 of
 the 1-D side and the extreme eigenvalues [zeta_min, zeta_max] of the n-D
@@ -36,6 +38,7 @@ from .measures import (
     Gaussian1D,
     GaussianND,
     TvConvention,
+    _kl_gaussian,
     kl_gaussian_1d,
     tv_gaussian_1d,
 )
@@ -139,7 +142,8 @@ def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
 
     Takes the reduced Householder QR of the transpose of a d x n matrix of
     independent standard normal draws from ``default_rng(seed)`` (anything
-    ``numpy.random.default_rng`` accepts) and flips each column of Q by the
+    ``numpy.random.default_rng`` accepts; a negative integer seed is a
+    DomainError, as in the search) and flips each column of Q by the
     sign of R's diagonal entry (+1 where it is 0), which makes the frame
     uniform on the Stiefel manifold (Mezzadri, Notices AMS 2007). That is
     the QR whose R has a positive diagonal, so the rows equal the draw's
@@ -150,6 +154,8 @@ def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
     """
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got d = {d}, n = {n}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     g = np.random.default_rng(seed).standard_normal((d, n))
     q, r = np.linalg.qr(g.T)
     q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
@@ -220,6 +226,8 @@ def search_projection_divergence(
     quotient of v + h z expanded in h; one that passes is scored from its
     own unit vector and taken only if that value still improves, so
     ``best_value`` is always the KL at the returned frame's own quotient.
+    Screen and score both call the scalar kernel behind ``kl_gaussian_1d``
+    on floats; a quotient that overflows to inf scores inf and is rejected.
     The offset is always set by mean matching. The result upper-estimates
     the augmented KL, which ``gaussian_akl`` gives in closed form.
 
@@ -236,7 +244,7 @@ def search_projection_divergence(
     best_v = None
     for start in range(0, budget, _DRAW_BLOCK):
         frames = rng.standard_normal((min(_DRAW_BLOCK, budget - start), n))
-        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        frames /= np.sqrt(np.add.reduce(frames * frames, axis=1, keepdims=True))
         values = _mean_matched_kl(p, q, frames)
         best = int(np.argmin(values))
         if best_v is None or values[best] < best_value:
@@ -263,19 +271,20 @@ def search_projection_divergence(
         )
 
     vv, vsv, zv, zsv = frame_terms(best_v)
+    s_p = p.sigma2
     step = _REFINE_INITIAL_STEP
     stale = 0
     for k in range(_REFINE_STEPS):
         d = vv + step * (2.0 * zv[k] + step * zz[k])
         s = (vsv + step * (2.0 * zsv[k] + step * zsz[k])) / d if d > 0 else 0.0
-        if 0 < s < math.inf and kl_gaussian_1d(p, Gaussian1D(p.mu, s)) < best_value:
+        if 0 < s < math.inf and _kl_gaussian(s_p, s, 0.0) < best_value:
             candidate = best_v + step * perturbations[k]
-            norm = float(np.linalg.norm(candidate))
+            norm = math.sqrt(candidate.dot(candidate))
             if norm >= 1e-12:
                 candidate /= norm
                 # the Rayleigh quotient can round to 0 on a near-singular sigma
                 s = float(np.einsum("i,ij,j->", candidate, q.sigma, candidate))
-                value = kl_gaussian_1d(p, Gaussian1D(p.mu, s)) if s > 0 else math.inf
+                value = _kl_gaussian(s_p, s, 0.0) if s > 0 else math.inf
                 if value < best_value:
                     best_value = value
                     best_v = candidate

@@ -36,6 +36,7 @@ _SQRT_HALF = math.sqrt(0.5)
 # 1e-80 (SUP TV rounds to 1), and past which the crossing quadratic overflows
 _DISJOINT_SEPARATION = 40.0
 _MAX_SEPARATION = 1e150
+_FLOAT_MIN = sys.float_info.min  # smallest normal double
 
 
 class TvConvention(Enum):
@@ -126,7 +127,8 @@ class GaussianND:
 
     The covariance is symmetrized by averaging with its transpose (inputs
     may carry parse noise up to 1e-12 asymmetry) before the eigenvalue
-    decomposition; eigenvalues are stored sorted ascending.
+    decomposition; eigenvalues are stored sorted ascending. A covariance
+    whose symmetrized entries or eigenvalues overflow to inf is rejected.
     """
 
     nu: np.ndarray
@@ -144,16 +146,26 @@ class GaussianND:
             raise InvalidDistributionError(
                 f"sigma must be {n}x{n} to match nu, got shape {sig.shape}"
             )
-        if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(sig))):
+        if not (np.isfinite(nu).all() and np.isfinite(sig).all()):
             raise InvalidDistributionError("nu and sigma must be finite")
-        asym = float(np.max(np.abs(sig - sig.T))) if n > 1 else 0.0
+        with np.errstate(over="ignore"):
+            # entries near the largest double can overflow both sums to inf
+            asym = float(np.max(np.abs(sig - sig.T))) if n > 1 else 0.0
+            sym = 0.5 * (sig + sig.T)
         if asym > SYMMETRY_TOL:
             raise InvalidDistributionError(
                 f"sigma asymmetric by {asym:.3e} (tolerance {SYMMETRY_TOL})"
             )
-        sym = 0.5 * (sig + sig.T)
+        if not np.isfinite(sym).all():
+            raise InvalidDistributionError(
+                "sigma overflows: (sigma + sigma^T) / 2 is not finite"
+            )
         evs = np.linalg.eigvalsh(sym)
-        if evs[0] <= 0:
+        if not evs[-1] < math.inf:
+            raise InvalidDistributionError(
+                "sigma overflows: its largest eigenvalue is not finite"
+            )
+        if not evs[0] > 0:
             raise InvalidDistributionError(
                 f"sigma is not positive definite (smallest eigenvalue {evs[0]:.3e})"
             )
@@ -235,15 +247,19 @@ def kl_gaussian_1d(a: Gaussian1D, b: Gaussian1D) -> float:
 
         (1/2) [ s_a/s_b - 1 + log(s_b/s_a) + (mu_a - mu_b)^2 / s_b ]
     """
-    r = a.sigma2 / b.sigma2
+    return _kl_gaussian(a.sigma2, b.sigma2, a.mu - b.mu)
+
+
+def _kl_gaussian(s_a: float, s_b: float, dmu: float) -> float:
+    # kl_gaussian_1d on plain floats: variances s_a, s_b > 0, means dmu apart
+    r = s_a / s_b
     # a ratio that overflows or underflows (to 0 or a subnormal, which has
     # lost its relative precision) takes its log from the two variances
-    if sys.float_info.min <= r < math.inf:
+    if _FLOAT_MIN <= r < math.inf:
         log_r = math.log(r)
     else:
-        log_r = math.log(a.sigma2) - math.log(b.sigma2)
-    dmu = a.mu - b.mu
-    val = 0.5 * (r - 1.0 - log_r + dmu * dmu / b.sigma2)
+        log_r = math.log(s_a) - math.log(s_b)
+    val = 0.5 * (r - 1.0 - log_r + dmu * dmu / s_b)
     return val if val > 0 else 0.0
 
 

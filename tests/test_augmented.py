@@ -116,6 +116,23 @@ class TestSampleStiefel:
         with pytest.raises(DomainError):
             sample_stiefel(0, 2, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            sample_stiefel(1, 3, seed=-1)
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -5$"):
+            sample_stiefel(2, 3, seed=np.int64(-5))
+
+    def test_other_seeds_default_rng_accepts(self):
+        # None, a Generator, a SeedSequence, a numpy integer and a sequence
+        # of entropy ints still reach default_rng unchanged
+        for seed in (None, np.random.default_rng(6)):
+            frame = sample_stiefel(2, 4, seed=seed)
+            assert np.linalg.norm(frame.v @ frame.v.T - np.eye(2)) <= 1e-10
+        for make in (lambda: np.random.SeedSequence(5), lambda: np.int64(7), lambda: [3, 4]):
+            g = np.random.default_rng(make()).standard_normal(4)
+            got = sample_stiefel(1, 4, seed=make()).v[0]
+            assert np.max(np.abs(got - g / np.linalg.norm(g))) <= 1e-15
+
     @pytest.mark.parametrize("d, n, seed", sorted(oracles.STIEFEL_FRAMES))
     def test_matches_frozen_gram_schmidt_frames(self, d, n, seed):
         # the sign-corrected QR is the Gram-Schmidt map of the same draw
@@ -260,6 +277,33 @@ class TestSearchProjectionDivergence:
             s = float(np.einsum("i,ij,j->", v, q.sigma, v))
             own = kl_gaussian_1d(p, Gaussian1D(p.mu, s))
             assert abs(own - result.best_value) <= 4 * math.ulp(result.best_value)
+
+    @pytest.mark.parametrize(
+        "row", oracles.FROZEN_SEARCHES, ids=lambda r: f"n{len(r[0][2])}-budget{r[0][5]}"
+    )
+    def test_matches_frozen_searches_bit_for_bit(self, row):
+        (mu, sigma2, nu, diagonal, off, budget, seed), value, v, b, witness = row
+        p, q = oracles.frozen_search_pair(mu, sigma2, nu, diagonal, off)
+        result = search_projection_divergence(p, q, "kl", budget=budget, seed=seed)
+        assert result.best_value.hex() == value
+        assert [x.hex() for x in result.best_frame.v[0].tolist()] == v
+        assert [x.hex() for x in result.best_frame.b.tolist()] == [b]
+        assert (result.witness.mu.hex(), result.witness.sigma2.hex()) == witness
+
+    def test_refinement_builds_no_measure_per_step(self, q3, monkeypatch):
+        # steps are screened and scored on floats: the only Gaussian1D a
+        # search builds is its witness
+        p = Gaussian1D(mu=0.0, sigma2=0.25)
+        built = []
+        post_init = Gaussian1D.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Gaussian1D, "__post_init__", counting)
+        result = search_projection_divergence(p, q3, "kl", budget=1000, seed=42)
+        assert built == [result.witness]
 
     def test_perturbations_are_the_generators_next_draws(self, q3, monkeypatch):
         # the refinement takes one (100, n) draw right after the drawn frames,

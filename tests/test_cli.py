@@ -509,6 +509,17 @@ def test_overflowing_probability_sum_prints_one_error_line():
     ]
 
 
+def test_overflowing_covariance_prints_one_error_line():
+    # (sigma + sigma^T) / 2 overflows: an input error, without numpy's
+    # overflow warning and its source line ahead of it
+    q = '{"type":"gaussiannd","nu":[0,0],"sigma":[[9e307,8.1e307],[8.1e307,9e307]]}'
+    proc = _run_child("-m", "divbounds", "gaussian-akl", "--p", P_G1, "--q", q)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "divbounds: error: sigma overflows: (sigma + sigma^T) / 2 is not finite"
+    ]
+
+
 def _loaded_after(statement: str, *argv) -> list:
     # the divbounds submodules and numpy, as a child process has them after
     # running ``statement`` with ``argv`` as sys.argv[1:]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,6 +21,7 @@ from divbounds import (
     distribution_from_json,
     kl_discrete,
     kl_gaussian_1d,
+    measures,
     tv_discrete,
     tv_gaussian_1d,
 )
@@ -89,6 +90,25 @@ class TestGaussianTypes:
     def test_eigenvalues_sorted(self):
         g = GaussianND(nu=np.zeros(2), sigma=np.diag([4.0, 1.0]))
         assert g.eigenvalues.tolist() == [1.0, 4.0]
+
+    def test_nd_rejects_an_overflowing_covariance(self):
+        # (sigma + sigma^T) / 2 overflows to inf (its eigenvalues were nan),
+        # or a finite one has an eigenvalue past the largest double; neither
+        # may pass the positivity check, and numpy must not warn
+        with pytest.raises(InvalidDistributionError, match=r"\(sigma \+ sigma\^T\) / 2"):
+            GaussianND(nu=[0, 0], sigma=[[9e307, 8.1e307], [8.1e307, 9e307]])
+        with pytest.raises(InvalidDistributionError, match="not finite"):
+            GaussianND(nu=[0], sigma=[[1.5e308]])
+        big = np.full((3, 3), 8e307) + np.diag([9e306] * 3)
+        with pytest.raises(InvalidDistributionError, match="largest eigenvalue"):
+            GaussianND(nu=np.zeros(3), sigma=big)
+        with pytest.raises(InvalidDistributionError, match="asymmetric by inf"):
+            GaussianND(nu=[0, 0], sigma=[[1e308, -1e308], [1e308, 1e308]])
+
+    def test_nd_keeps_a_large_finite_covariance(self):
+        g = GaussianND(nu=[0, 0], sigma=[[1e307, 9e306], [9e306, 1e307]])
+        assert g.sigma.tolist() == [[1e307, 9e306], [9e306, 1e307]]
+        assert g.eigenvalues.tolist() == pytest.approx([1e306, 1.9e307], rel=1e-14)
 
 
 class TestKlDiscrete:
@@ -163,6 +183,28 @@ class TestKlGaussian1d:
         # the ratio is subnormal: log r from the ratio would be off by 0.5
         got = kl_gaussian_1d(Gaussian1D(0, 3e-162), Gaussian1D(0, 1e162))
         assert got == pytest.approx(oracles.KL_GAUSS_SUBNORMAL_RATIO, rel=1e-15)
+
+
+_VARIANCES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_MEANS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_MEANS, _VARIANCES, _MEANS, _VARIANCES)
+@example(0.0, 1e300, 0.0, 1e-10)  # the ratio overflows
+@example(0.0, 1e-200, 0.0, 1e200)  # it underflows to 0
+@example(0.0, 3e-162, 0.0, 1e162)  # it is subnormal
+@example(1.5, 5e-324, -2.0, 1.7e308)  # the extreme variances
+@example(-0.5, 0.25, 0.75, 1.0)
+def test_kl_kernel_is_kl_gaussian_1d_bit_for_bit(mu_a, s_a, mu_b, s_b):
+    # the float kernel, the public function and its frozen former body
+    # agree exactly, and a mean-matched pair is the kernel at dmu = 0
+    want = oracles.kl_gaussian_1d_reference(mu_a, s_a, mu_b, s_b)
+    got = kl_gaussian_1d(Gaussian1D(mu_a, s_a), Gaussian1D(mu_b, s_b))
+    assert got.hex() == want.hex()
+    assert measures._kl_gaussian(s_a, s_b, mu_a - mu_b).hex() == want.hex()
+    matched = kl_gaussian_1d(Gaussian1D(mu_a, s_a), Gaussian1D(mu_a, s_b))
+    assert measures._kl_gaussian(s_a, s_b, 0.0).hex() == matched.hex()
 
 
 class TestTvGaussian1d:

@@ -45,18 +45,19 @@ def _check_verify_sweep(stdout):
     assert lines[-1] == {"stage": "summary", "all_ok": True}
 
 
-def test_scripts_run_and_print_parsable_output():
+def _start(name, argv):
     # the child imports the package under test, however this run found it
     package_root = str(Path(divbounds.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    procs = {
-        name: subprocess.Popen(
-            [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
-        for name, argv in RUNS.items()
-    }
+    return subprocess.Popen(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_scripts_run_and_print_parsable_output():
+    procs = {name: _start(name, argv) for name, argv in RUNS.items()}
     checks = {
         "curve_table": _check_curve_table,
         "projection_demo": _check_projection_demo,
@@ -66,3 +67,12 @@ def test_scripts_run_and_print_parsable_output():
         stdout, stderr = proc.communicate(timeout=60)
         assert proc.returncode == 0, (name, stderr)
         checks[name](stdout)
+
+
+def test_projection_demo_rejects_a_negative_seed():
+    # the library's DomainError, as one stderr line, not numpy's ValueError
+    proc = _start("projection_demo", ["--seed", "-1"])
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stdout == ""
+    assert stderr == "projection_demo.py: error: seed must be >= 0, got -1\n"
