@@ -10,7 +10,7 @@ makes the tightness of the polynomial visible (it osculates the curve to
 import argparse
 import sys
 
-from divbounds import emit_curve, poly_lower_bound
+from divbounds import DivBoundsError, emit_curve, poly_lower_bound
 from divbounds.serialize import dumps
 
 
@@ -21,7 +21,13 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=500)
     parser.add_argument("--out", default="-", help="output path, - for stdout")
     args = parser.parse_args()
+    try:
+        return run(args)
+    except DivBoundsError as exc:
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
+
+def run(args) -> int:
     points = emit_curve(args.t_min, args.t_max, args.points)
     handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:

@@ -4,14 +4,21 @@
 A heavier cousin of ``divbounds verify``: the sandwich fuzz is repeated
 across a range of seeds, and the binary-grid tightness scan runs at a
 configurable resolution. Prints one JSON line per stage; exits 2 if any
-stage fails.
+stage fails, and 1 with one stderr line, before any stage runs, on a bad
+argument.
 """
 
 import argparse
 import sys
 
-from divbounds import PINNED_TV_CONVENTION, fuzz_sandwich, resolve_tv_convention
-from divbounds.oracle import VERIFY_GAP_TOL, verify_tightness
+from divbounds import (
+    PINNED_TV_CONVENTION,
+    DivBoundsError,
+    OracleGridSpec,
+    fuzz_sandwich,
+    resolve_tv_convention,
+)
+from divbounds.oracle import VERIFY_GAP_TOL, check_fuzz_arguments, verify_tightness
 from divbounds.serialize import dumps
 
 
@@ -22,6 +29,17 @@ def main() -> int:
     parser.add_argument("--max-support", type=int, default=6)
     parser.add_argument("--step", type=float, default=1e-3)
     args = parser.parse_args()
+    try:
+        return run(args)
+    except DivBoundsError as exc:
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
+
+
+def run(args) -> int:
+    # every argument is checked before the first stage prints its line
+    OracleGridSpec(step=args.step)
+    for seed in args.seeds:
+        check_fuzz_arguments(args.trials, args.max_support, seed)
 
     ok = True
 

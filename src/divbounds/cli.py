@@ -14,8 +14,10 @@ curve and polynomial commands and ``gaussian-akl``, ``pinsker`` only for
 ``reverse-pinsker`` and ``sandwich``, ``augmented`` (and with it numpy)
 only for the Gaussian projection commands, ``oracle`` only for
 ``verify``. So the scalar subcommands (``vajda``, ``poly``,
-``reverse-pinsker``, ``curve``, and ``divergence`` on two 1-D Gaussians)
-start without numpy, and ``divergence`` loads neither bound module.
+``reverse-pinsker``, ``curve``, ``divergence`` on two 1-D Gaussians,
+and ``divergence`` and ``sandwich`` on two discrete inputs given as
+lists) start without numpy, and ``divergence`` loads neither bound
+module.
 """
 
 import argparse

@@ -256,6 +256,16 @@ def _drawn_pair(p: np.ndarray, q: np.ndarray, k: np.ndarray, i: int) -> tuple:
     return tuple(p[i, : k[i]].tolist()), tuple(q[i, : k[i]].tolist())
 
 
+def check_fuzz_arguments(n_trials: int, max_support: int, seed: int) -> None:
+    """Raise the DomainError ``fuzz_sandwich`` raises for these arguments."""
+    if n_trials < 1:
+        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    if max_support < 2:
+        raise DomainError(f"max_support must be >= 2, got {max_support}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
     """Random strictly-positive pairs pushed through the sandwich checker.
 
@@ -264,12 +274,7 @@ def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
     drawn and checked in blocks of arrays. Violations are collected, not
     raised; the expected count is zero.
     """
-    if n_trials < 1:
-        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
-    if max_support < 2:
-        raise DomainError(f"max_support must be >= 2, got {max_support}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_fuzz_arguments(n_trials, max_support, seed)
     rng = np.random.default_rng(seed)
     violations = []
     margins = [None, None, None]

@@ -20,8 +20,9 @@ scaling non-optimal. The choice is pinned here as ``PINNED_TV_CONVENTION``
 and guarded by a test that reruns the scan.
 
 numpy is imported only by the batched checker ``check_sandwich_rows``,
-and ``augmented`` only by ``check_sandwich_augmented``, so the scalar
-bounds load neither.
+and ``augmented`` only by ``check_sandwich_augmented``. The discrete
+kernels of ``measures`` are ``math`` loops, so the scalar bounds and
+``check_sandwich_same_dim`` load neither.
 """
 
 from __future__ import annotations
@@ -212,10 +213,10 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
     none of its quantities. Each row must pass DiscreteDistribution's
     checks, and p absolutely continuous w.r.t. q with m > 0, as in the
     scalar checker; a failing row raises the scalar checker's error. For
-    k < 8, poly and KL equal the scalar values, the curve agrees as
+    k < 8, poly equals the scalar value, KL agrees within ``kl_discrete``'s
+    contract (np.log rounds differently from math.log), the curve as
     ``vajda_lower_bound_array`` states, and the upper bound to a few ulps
-    of the two phi values it subtracts (numpy's log1p rounds differently
-    from math.log1p).
+    of the two phi values it subtracts (likewise for log1p).
     """
     import numpy as np
     p = np.asarray(p, dtype=float)

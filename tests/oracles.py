@@ -666,6 +666,27 @@ def kl_discrete_reference(pa: np.ndarray, qa: np.ndarray) -> float:
     return val if val > 0 else 0.0
 
 
+def kl_discrete_within_contract(value: float, pa, qa) -> bool:
+    """Whether ``value`` meets ``kl_discrete``'s contract for the pair.
+
+    |value - KL| <= (k + 4) 2^-52 (sum_i |p_i log(p_i / q_i)| + 1) on k
+    points, with KL and the sum taken from the doubles at 50 digits.
+    """
+    import mpmath
+
+    if any(a > 0 and b == 0 for a, b in zip(pa, qa)):
+        return value == math.inf
+    with mpmath.workdps(50):
+        terms = [
+            mpmath.mpf(a) * mpmath.log(mpmath.mpf(a) / mpmath.mpf(b))
+            for a, b in zip(pa, qa)
+            if a > 0
+        ]
+        exact = mpmath.fsum(terms)
+        weight = mpmath.fsum(abs(t) for t in terms)
+        return abs(value - exact) <= (len(pa) + 4) * mpmath.mpf(2) ** -52 * (weight + 1)
+
+
 def tv_discrete_variational_reference(pa: np.ndarray, qa: np.ndarray) -> float:
     """``tv_discrete`` on the variational scale."""
     _same_support_reference(pa, qa)

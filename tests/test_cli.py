@@ -566,6 +566,10 @@ _NUMPY_FREE_COMMANDS = {
         "divergence", "--p", P_G1, "--q", '{"type":"gaussian1d","mu":1,"sigma2":2}',
         "--convention", "sup",
     ],
+    "divergence_discrete": [
+        "divergence", "--p", P_DISC, "--q", Q_DISC, "--convention", "variational",
+    ],
+    "sandwich_discrete": ["sandwich", "--p", P_DISC, "--q", Q_DISC],
 }
 
 

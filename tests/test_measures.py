@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +68,18 @@ class TestDiscreteDistribution:
         d = disc(0.5, 0.5)
         with pytest.raises(ValueError):
             d.probs[0] = 0.3
+
+    def test_immutable_and_picklable(self):
+        d = disc(0.25, 0.75)
+        with pytest.raises(AttributeError):
+            d.probs = np.array([0.5, 0.5])
+        with pytest.raises(AttributeError):
+            d._probs = (0.5, 0.5)
+        with pytest.raises(AttributeError):
+            del d._probs
+        back = pickle.loads(pickle.dumps(d))
+        assert back.probs.tolist() == [0.25, 0.75] and back is not d
+        assert repr(d) == "DiscreteDistribution(probs=[0.25, 0.75])"
 
 
 class TestGaussianTypes:
@@ -437,7 +450,12 @@ def test_discrete_kernels_match_their_multi_pass_reference():
                 oracles.discrete_probs_reference, arr
             )
         p, q = DiscreteDistribution(pa), DiscreteDistribution(qa)
-        assert _outcome(kl_discrete, p, q) == _outcome(oracles.kl_discrete_reference, pa, qa)
+        # math.log and np.log round differently; where the two kernels
+        # differ, both must meet the stated contract
+        kl, kl_ref = kl_discrete(p, q), oracles.kl_discrete_reference(pa, qa)
+        assert kl == kl_ref or all(
+            oracles.kl_discrete_within_contract(v, pa, qa) for v in (kl, kl_ref)
+        )
         assert _outcome(lambda a, b: tv_discrete(a, b, VAR), p, q) == _outcome(
             oracles.tv_discrete_variational_reference, pa, qa
         )
@@ -446,29 +464,113 @@ def test_discrete_kernels_match_their_multi_pass_reference():
         )
 
 
+@pytest.mark.parametrize("case", ["near_identical", "wide_support", "equal"])
+def test_kl_meets_its_contract(case):
+    # the numpy kernel and the math kernel, on pairs the random test rarely
+    # draws: ratios 1 +- 1e-12, supports of 129..300 points, and KL = 0
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        if case == "wide_support":
+            p, q = rng.exponential(size=(2, int(rng.integers(129, 301))))
+            q[rng.random(q.size) < 0.2] = 0.0
+            p[q == 0] = 0.0
+        else:
+            p = rng.exponential(size=int(rng.integers(2, 51)))
+            p[rng.random(p.size) < 0.2] = 0.0
+            q = p if case == "equal" else p * (1 + 1e-12 * rng.uniform(-1, 1, p.size))
+        pa, qa = p / p.sum(), q / q.sum()
+        kl = kl_discrete(DiscreteDistribution(pa), DiscreteDistribution(qa))
+        if case == "equal":
+            assert kl == 0.0
+        for value in (kl, oracles.kl_discrete_reference(pa, qa)):
+            assert oracles.kl_discrete_within_contract(value, pa, qa)
+
+
+def test_kl_takes_an_overflowing_ratio_from_two_logs():
+    # 0.5 / 5e-324 overflows; the ratio's log is log 0.5 - log 5e-324
+    p, q = disc(0.5, 0.5), disc(5e-324, 1.0)
+    kl = kl_discrete(p, q)
+    assert math.isfinite(kl)
+    assert oracles.kl_discrete_within_contract(kl, [0.5, 0.5], [5e-324, 1.0])
+
+
 @pytest.mark.parametrize(
-    "probs",
+    "probs, error, message",
     [
-        [0.5, math.nan],
-        [math.inf, 0.5],
-        [0.5, -math.inf],
-        [math.nan, -1.0],
-        [1.5, -0.5],
-        [1e308, 1e308],
-        [1e308, 1e308, -1.0],
-        [-1e308, -1e308],
-        [0.5, 0.6],
-        [0.5, 0.5 - 1e-11],
-        [],
-        [[0.5, 0.5]],
-        0.5,
-        [-0.0, 1.0],
+        ("0.5", InvalidDistributionError, "probs must be a nonempty 1-D vector"),
+        (None, InvalidDistributionError, "probs must be a nonempty 1-D vector"),
+        ({}, DomainError, "malformed 'discrete' literal: float() argument must be "
+                          "a string or a real number, not 'dict'"),
+        ([10**400, 0], DomainError,
+         "malformed 'discrete' literal: int too large to convert to float"),
     ],
-    ids=["nan", "inf", "minus_inf", "nan_and_negative", "negative", "sum_overflows",
-         "overflow_and_negative", "negative_overflow", "wrong_sum", "sum_off_by_1e-11",
-         "empty", "two_d", "scalar", "negative_zero"],
+    ids=["string", "null", "object", "huge_int"],
 )
-def test_distribution_checks_match_their_multi_pass_reference(probs):
+def test_json_probs_errors(probs, error, message):
+    with pytest.raises(error) as info:
+        distribution_from_json({"type": "discrete", "probs": probs})
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _generated_distribution_inputs():
+    # lists, tuples and arrays of float, int and bool entries around the
+    # lengths where numpy's summation changes its order, and other forms
+    # numpy converts
+    rng = np.random.default_rng(14)
+    cases = {}
+    for k in (7, 8, 128, 129, 300):
+        probs = rng.exponential(size=k)
+        probs /= probs.sum()
+        # a sum off by 50 %, so its repr in the error shows the summation order
+        for label, arr in (("valid", probs), ("sum_off", 1.5 * probs)):
+            cases[f"{label}_{k}_list"] = arr.tolist()
+            cases[f"{label}_{k}_tuple"] = tuple(arr.tolist())
+            cases[f"{label}_{k}_array"] = arr
+        onehot = np.zeros(k, dtype=int)
+        onehot[k // 2] = 1
+        cases[f"int_{k}_list"] = onehot.tolist()
+        cases[f"int_{k}_array"] = onehot
+        cases[f"bool_{k}_list"] = onehot.astype(bool).tolist()
+        cases[f"bool_{k}_array"] = onehot.astype(bool)
+    half = np.array([0.5, 0.5])
+    cases.update(
+        column=half.reshape(2, 1),
+        row=half.reshape(1, 2),
+        zero_d=np.array(1.0),
+        nested=[[0.5], [0.5]],
+        string="0.5",
+        string_list=["0.5", "0.5"],
+        subnormal=[5e-324, 1.0, 2.2e-308],
+        int_sum_off=[1, 1],
+        int_negative=np.array([2, -1]),
+        bool_sum_off=[True, True],
+        float64_scalars=[np.float64(0.25), np.float64(0.75)],
+    )
+    return cases
+
+
+_DISTRIBUTION_INPUTS = {
+    "nan": [0.5, math.nan],
+    "inf": [math.inf, 0.5],
+    "minus_inf": [0.5, -math.inf],
+    "nan_and_negative": [math.nan, -1.0],
+    "negative": [1.5, -0.5],
+    "sum_overflows": [1e308, 1e308],
+    "overflow_and_negative": [1e308, 1e308, -1.0],
+    "negative_overflow": [-1e308, -1e308],
+    "wrong_sum": [0.5, 0.6],
+    "sum_off_by_1e-11": [0.5, 0.5 - 1e-11],
+    "empty": [],
+    "two_d": [[0.5, 0.5]],
+    "scalar": 0.5,
+    "negative_zero": [-0.0, 1.0],
+    **_generated_distribution_inputs(),
+}
+
+
+@pytest.mark.parametrize("name", _DISTRIBUTION_INPUTS)
+def test_distribution_checks_match_their_multi_pass_reference(name):
+    probs = _DISTRIBUTION_INPUTS[name]
     with np.errstate(over="ignore"):
         got = _outcome(lambda a: DiscreteDistribution(a).probs, probs)
         assert got == _outcome(oracles.discrete_probs_reference, probs)

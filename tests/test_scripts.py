@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import divbounds
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -76,3 +78,21 @@ def test_projection_demo_rejects_a_negative_seed():
     assert proc.returncode == 1
     assert stdout == ""
     assert stderr == "projection_demo.py: error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("verify_sweep", ["--trials", "10", "--seeds", "-1"], "seed must be >= 0, got -1"),
+        ("verify_sweep", ["--trials", "10", "--step", "2"],
+         "step must lie in [0.0001, 0.5], got 2.0"),
+        ("curve_table", ["--points", "0"], "n_points must be >= 2, got 0"),
+    ],
+    ids=["sweep_negative_seed", "sweep_step_2", "curve_table_no_points"],
+)
+def test_scripts_report_a_bad_argument_as_one_line(name, argv, message):
+    # nothing reaches stdout: the arguments are checked before any stage
+    proc = _start(name, argv)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout) == (1, "")
+    assert stderr == f"{name}.py: error: {message}\n"
