@@ -29,7 +29,6 @@ with the 1-D TV in place of the 1-D KL, and needs no search.
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .measures import (
     GaussianND,
     TvConvention,
     _kl_gaussian,
+    _Record,
     kl_gaussian_1d,
     tv_gaussian_1d,
 )
@@ -52,15 +52,19 @@ _REFINE_HALVE_AFTER = 10  # non-improving steps before the step size halves
 _DRAW_BLOCK = 8192
 
 
-@dataclass(frozen=True, eq=False)
-class StiefelFrame:
+class StiefelFrame(_Record):
     """A d x n matrix with orthonormal rows plus an offset b in R^d.
 
     Defines the affine map x -> V x + b from R^n to R^d.
     """
 
-    v: np.ndarray
-    b: np.ndarray
+    __slots__ = _fields = ("v", "b")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, v: np.ndarray, b: np.ndarray):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.v, dtype=float))
@@ -91,8 +95,7 @@ class StiefelFrame:
         return int(self.v.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionSearchResult:
+class ProjectionSearchResult(_Record):
     """Best frame found by the projection search and its objective value.
 
     ``best_value`` upper-estimates the augmented divergence: the infimum
@@ -101,10 +104,20 @@ class ProjectionSearchResult:
     evaluations (drawn frames plus refinement steps).
     """
 
-    best_frame: StiefelFrame
-    best_value: float
-    n_samples: int
-    witness: Gaussian1D
+    __slots__ = _fields = ("best_frame", "best_value", "n_samples", "witness")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self,
+        best_frame: StiefelFrame,
+        best_value: float,
+        n_samples: int,
+        witness: Gaussian1D,
+    ):
+        object.__setattr__(self, "best_frame", best_frame)
+        object.__setattr__(self, "best_value", best_value)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "witness", witness)
 
     def to_json(self) -> str:
         return dumps(

@@ -14,9 +14,14 @@ in numpy's ``add.reduce`` order, so the constructor's checks, TV and the
 density bounds give the bits numpy's array forms gave; KL can differ in
 its last bits, as its contract states. numpy is imported only where an
 array is built or read: ``GaussianND``, ``DiscreteDistribution.probs``,
-a discrete input that is not a list or tuple of numbers (an array,
-nested lists, strings), and the repr in the "negative probability"
-error. So the discrete, Gaussian and TV-convention code loads without it.
+a discrete input that is neither a list or tuple of numbers nor a float64
+vector (other arrays, nested lists, strings), and the repr in the
+"negative probability" error. So the discrete, Gaussian and TV-convention
+code loads without it.
+
+The validating records here and in ``oracle`` and ``augmented`` derive
+from ``_Record``, an immutable ``__slots__`` class; results that only
+hold data are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -94,7 +98,48 @@ def _sum(terms) -> float:
     return _sum(terms[:half]) + _sum(terms[half:])
 
 
-class DiscreteDistribution:
+class _Record:
+    """Base of the records that are not NamedTuples: immutable ``__slots__``.
+
+    ``_fields`` names the constructor's arguments in order; ``repr``,
+    equality, ``hash`` and pickling go by them. A record holding arrays,
+    which have no single truth value, takes back ``object``'s identity
+    equality. A subclass's ``__init__`` stores its arguments with
+    ``object.__setattr__`` and then calls ``__post_init__``, which checks
+    them and may store normalized values in their place. The checks live
+    in ``__post_init__`` because the benchmark's traced run wraps that
+    method to book construction to the defining module.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class DiscreteDistribution(_Record):
     """Probability vector on a finite support.
 
     Entries must be nonnegative and sum to 1 within 1e-12 absolute. They
@@ -102,17 +147,22 @@ class DiscreteDistribution:
     array of them on each access. Immutable, and equal only to itself.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = _fields = ("_probs",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, probs):
-        # the checks stay in __post_init__, where they sat when this was a
-        # dataclass: the benchmark's traced run wraps that method to book
-        # construction to this module
         self.__post_init__(probs)
 
     def __post_init__(self, probs):
         if type(probs) in (list, tuple) and _PLAIN_NUMBERS.issuperset(map(type, probs)):
             values = tuple(map(float, probs))
+        elif (
+            # a float64 vector; one can exist only once numpy is loaded
+            type(probs) is getattr(sys.modules.get("numpy"), "ndarray", None)
+            and probs.ndim == 1
+            and probs.dtype.char == "d"
+        ):
+            values = tuple(probs.tolist())
         else:
             # arrays, nested lists and strings convert as numpy converts them
             import numpy as np
@@ -134,15 +184,6 @@ class DiscreteDistribution:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "_probs", values)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteDistribution is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DiscreteDistribution is immutable")
-
-    def __reduce__(self):
-        return (DiscreteDistribution, (self._probs,))
-
     def __repr__(self) -> str:
         return f"DiscreteDistribution(probs={list(self._probs)!r})"
 
@@ -161,12 +202,15 @@ class DiscreteDistribution:
         return {"type": "discrete", "probs": list(self._probs)}
 
 
-@dataclass(frozen=True)
-class Gaussian1D:
+class Gaussian1D(_Record):
     """Normal distribution on the real line with variance sigma2 > 0."""
 
-    mu: float
-    sigma2: float
+    __slots__ = _fields = ("mu", "sigma2")
+
+    def __init__(self, mu: float, sigma2: float):
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma2", sigma2)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
@@ -182,8 +226,7 @@ class Gaussian1D:
         return {"type": "gaussian1d", "mu": self.mu, "sigma2": self.sigma2}
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianND:
+class GaussianND(_Record):
     """Normal distribution on R^n with symmetric positive-definite covariance.
 
     The covariance is symmetrized by averaging with its transpose (inputs
@@ -192,9 +235,14 @@ class GaussianND:
     whose symmetrized entries or eigenvalues overflow to inf is rejected.
     """
 
-    nu: np.ndarray
-    sigma: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("nu", "sigma", "eigenvalues")
+    _fields = ("nu", "sigma")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, nu: np.ndarray, sigma: np.ndarray):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "sigma", sigma)
+        self.__post_init__()
 
     def __post_init__(self):
         import numpy as np
@@ -246,21 +294,25 @@ class GaussianND:
         }
 
 
-@dataclass(frozen=True)
-class DensityBounds:
+class DensityBounds(_Record):
     """Essential infimum m and supremum M of a relative density dP/dQ.
 
     Because dP/dQ integrates to 1 under Q, m <= 1 <= M always. m = 0 is
     representable (P vanishing on part of Q's support) but is rejected by
-    the reverse-Pinsker operations, which need m > 0.
+    the reverse-Pinsker operations, which need m > 0. So is M = +inf (a
+    ratio past the largest double), which ``reverse_pinsker`` rejects.
     """
 
-    m: float
-    M: float
+    __slots__ = _fields = ("m", "M")
+
+    def __init__(self, m: float, M: float):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
+        self.__post_init__()
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
-            raise DomainError("density bounds must be finite")
+        if not (math.isfinite(self.m) and self.M <= math.inf):
+            raise DomainError("density bounds must be finite (M may be inf)")
         if self.m < 0:
             raise DomainError(f"essential infimum must be >= 0, got {self.m}")
         if self.m > 1.0 + 1e-12 or self.M < 1.0 - 1e-12:

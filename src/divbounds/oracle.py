@@ -8,13 +8,12 @@ restricting to two-point spaces loses nothing there.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import TvConvention
+from .measures import TvConvention, _Record
 from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
 from .serialize import dumps
 from .vajda import vajda_lower_bound
@@ -39,8 +38,7 @@ _GRID_CHUNK_PAIRS = 10_000
 MIN_GRID_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class OracleGridSpec:
+class OracleGridSpec(_Record):
     """Grid resolution and optional TV constraint for the scans.
 
     ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so the grid holds
@@ -49,10 +47,20 @@ class OracleGridSpec:
     feasible. The tolerance defaults to the step and may not be smaller.
     """
 
-    support_size: int = 2
-    step: float = 1e-3
-    constraint_delta: float | None = None
-    constraint_tol: float | None = None
+    __slots__ = _fields = ("support_size", "step", "constraint_delta", "constraint_tol")
+
+    def __init__(
+        self,
+        support_size: int = 2,
+        step: float = 1e-3,
+        constraint_delta: float | None = None,
+        constraint_tol: float | None = None,
+    ):
+        object.__setattr__(self, "support_size", support_size)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "constraint_delta", constraint_delta)
+        object.__setattr__(self, "constraint_tol", constraint_tol)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.support_size not in (2, 3):
@@ -182,8 +190,7 @@ def min_kl_at_tv(spec: OracleGridSpec) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class SandwichViolation:
+class SandwichViolation(NamedTuple):
     """One fuzz trial whose bound chain failed."""
 
     p: tuple
@@ -208,8 +215,7 @@ class FuzzMargin(NamedTuple):
     q: tuple
 
 
-@dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(NamedTuple):
     """Violations found by randomized sandwich checking, and the margins.
 
     The margins are the smallest vajda - poly, KL - vajda and upper - KL

@@ -28,7 +28,6 @@ kernels of ``measures`` are ``math`` loops, so the scalar bounds and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import AbsoluteContinuityError, DomainError, InvalidDistributionError
@@ -60,8 +59,7 @@ PINNED_TV_CONVENTION = TvConvention.SUP
 REPORT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AugmentedDensityBounds:
+class AugmentedDensityBounds(NamedTuple):
     """Density bounds for both sides of a different-dimension pair.
 
     ``emb`` bounds the embedding-side relative density (w.r.t. the
@@ -73,8 +71,7 @@ class AugmentedDensityBounds:
     proj: DensityBounds
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Outcome of a polynomial <= curve <= divergence <= upper check."""
 
     poly_lb: float
@@ -84,13 +81,7 @@ class SandwichReport:
     all_hold: bool
 
     def as_dict(self) -> dict:
-        return {
-            "poly_lb": self.poly_lb,
-            "vajda_lb": self.vajda_lb,
-            "divergence": self.divergence,
-            "upper": self.upper,
-            "all_hold": self.all_hold,
-        }
+        return self._asdict()
 
     def to_json(self) -> str:
         return dumps(self.as_dict())
@@ -194,15 +185,19 @@ def check_sandwich_same_dim(
     """Evaluate the full bound chain for a discrete pair and report it.
 
     Computes delta and the density bounds from the pair itself; requires
-    p absolutely continuous w.r.t. q, and m > 0 for the upper bound.
+    p absolutely continuous w.r.t. q, and m > 0 for the upper bound. A
+    density ratio past the largest double makes M, and the upper bound,
+    +inf.
     """
     delta_sup = tv_discrete(p, q, TvConvention.SUP)
     db = density_bounds_discrete(p, q)
-    return _sandwich_report(
-        2.0 * delta_sup,
-        kl_discrete(p, q),
-        reverse_pinsker(delta_sup, TvConvention.SUP, db),
-    )
+    # a ratio past the largest double leaves U unbounded, unless m = 1
+    # claims identical measures, which reverse_pinsker rejects
+    if db.M == math.inf and db.m != 1.0:
+        upper = math.inf
+    else:
+        upper = reverse_pinsker(delta_sup, TvConvention.SUP, db)
+    return _sandwich_report(2.0 * delta_sup, kl_discrete(p, q), upper)
 
 
 def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
@@ -212,7 +207,8 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
     fewer than k points is padded with zeros in both rows; padding changes
     none of its quantities. Each row must pass DiscreteDistribution's
     checks, and p absolutely continuous w.r.t. q with m > 0, as in the
-    scalar checker; a failing row raises the scalar checker's error. For
+    scalar checker; a failing row raises the scalar checker's error, and a
+    ratio past the largest double makes M and U inf there too. For
     k < 8, poly equals the scalar value, KL agrees within ``kl_discrete``'s
     contract (np.log rounds differently from math.log), the curve as
     ``vajda_lower_bound_array`` states, and the upper bound to a few ulps
@@ -242,7 +238,8 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
         raise AbsoluteContinuityError(
             "p puts mass where q does not; relative density undefined"
         )
-    ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
+    with np.errstate(over="ignore"):  # an overflowed ratio makes M and U inf
+        ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
     m = np.where(support, ratio, np.inf).min(axis=1)
     M = np.where(support, ratio, -np.inf).max(axis=1)
     if np.any(m <= 0):
@@ -259,7 +256,11 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         upper = np.where(degenerate, 0.0, delta_sup * (_phi(M, np) - _phi(m, np)))
+    upper[~degenerate & (M == np.inf)] = np.inf
     log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+    # as in kl_discrete, an overflowed ratio takes its log as log p - log q
+    over = ratio == np.inf
+    log_ratio[over] = np.log(p[over]) - np.log(q[over])
     divergence = (p * log_ratio).sum(axis=1)
     divergence = np.where(divergence > 0, divergence, 0.0)
     poly = _poly(delta_var)

@@ -28,7 +28,7 @@ caller never loads it. The formulas take a float or an array alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .measures import TvConvention, convert_tv
@@ -57,8 +57,7 @@ _L_SERIES = (1 / 2, -1 / 12, 1 / 81, -1 / 600, 1 / 4725, -691 / 26790750, 2 / 65
 POLY_COEFFS = (0.5, 1.0 / 36.0, 1.0 / 270.0, 221.0 / 340200.0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """A (t, delta, l_value) triple on the optimal lower-bound curve."""
 
     t: float
@@ -66,8 +65,7 @@ class CurvePoint:
     l_value: float
 
 
-@dataclass(frozen=True)
-class GammaSearchResult:
+class GammaSearchResult(NamedTuple):
     """Minimizer and minimum of the direct two-term objective."""
 
     gamma_star: float

@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -229,6 +230,22 @@ def test_sandwich_discrete(capsys):
     report = check_sandwich_same_dim(p, q)
     assert payload == json.loads(report.to_json())
     assert payload["all_hold"] is True
+
+
+def test_sandwich_on_an_overflowing_density_ratio(capsys):
+    # 0.5 / 5e-324 overflows: M and the upper bound are inf, and KL takes
+    # that term's log as log 0.5 - log 5e-324, as `divergence` does
+    q = '{"type":"discrete","probs":[5e-324,1.0]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", Q_DISC, "--q", q)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["divergence"] == 371.5268887801307
+    assert payload["upper"] == math.inf
+    assert payload["all_hold"] is True
+    code, out, _ = run_cli(
+        capsys, "divergence", "--p", Q_DISC, "--q", q, "--convention", "sup"
+    )
+    assert json.loads(out)["kl"] == payload["divergence"]
 
 
 def test_sandwich_augmented_with_estimated_atv(capsys):
@@ -521,12 +538,13 @@ def test_overflowing_covariance_prints_one_error_line():
 
 
 def _loaded_after(statement: str, *argv) -> list:
-    # the divbounds submodules and numpy, as a child process has them after
-    # running ``statement`` with ``argv`` as sys.argv[1:]
+    # the divbounds submodules, numpy and dataclasses, as a child process has
+    # them after running ``statement`` with ``argv`` as sys.argv[1:]
     proc = _run_child(
         "-c",
         f"import sys\n{statement}\nimport json\nprint(json.dumps(sorted("
-        "m for m in sys.modules if m == 'numpy' or m.startswith('divbounds.'))))",
+        "m for m in sys.modules if m in ('numpy', 'dataclasses') "
+        "or m.startswith('divbounds.'))))",
         *argv,
     )
     assert proc.returncode == 0, proc.stderr
@@ -579,6 +597,39 @@ _NUMPY_FREE_COMMANDS = {
 def test_scalar_subcommands_do_not_load_numpy(argv):
     statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
     assert "numpy" not in _loaded_after(statement, *argv)
+
+
+_DATACLASS_FREE_RUNS = {
+    # every numpy-free subcommand, one after another in one process
+    "scalar_subcommands": "from divbounds.cli import main\n"
+    f"for argv in {list(_NUMPY_FREE_COMMANDS.values())!r}:\n"
+    "    assert main(argv) == 0",
+    "verify": "from divbounds.cli import main\n"
+    "assert main(['verify', '--trials', '10']) == 0",
+    "oracle_and_augmented": "import divbounds.oracle, divbounds.augmented",
+}
+
+
+@pytest.mark.parametrize(
+    "statement", _DATACLASS_FREE_RUNS.values(), ids=_DATACLASS_FREE_RUNS.keys()
+)
+def test_no_subcommand_loads_dataclasses(statement):
+    # importing dataclasses (and inspect with it) costs milliseconds of
+    # every start-up; the records are slots classes and NamedTuples
+    assert "dataclasses" not in _loaded_after(statement)
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(divbounds.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, source.name
 
 
 _PINSKER_FREE_COMMANDS = ("vajda", "poly_delta", "poly_xi", "curve", "divergence_gaussian")

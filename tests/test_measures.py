@@ -69,6 +69,26 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 0.3
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            np.array([0.25, 0.75]),
+            np.array([0.25, 0.75], dtype=">f8"),  # byte-swapped float64
+            np.array([0.25, 9.0, 0.75])[::2],  # strided
+            np.array([0.25, 0.75], dtype=np.float32),
+            np.array([1, 0]),
+            np.array([True, False]),
+        ],
+        ids=["float64", "swapped", "strided", "float32", "int", "bool"],
+    )
+    def test_arrays_convert_as_numpy_converts_them(self, probs):
+        # a float64 vector is read with tolist(), other arrays through
+        # np.asarray(..., dtype=float): the same floats either way
+        probs.flags.writeable = False
+        got = DiscreteDistribution(probs)._probs
+        assert got == tuple(np.asarray(probs, dtype=float).tolist())
+        assert {type(x) for x in got} == {float}
+
     def test_immutable_and_picklable(self):
         d = disc(0.25, 0.75)
         with pytest.raises(AttributeError):
@@ -336,6 +356,17 @@ class TestDensityBounds:
     def test_bounds_type_rejects_m_above_one(self):
         with pytest.raises(DomainError):
             DensityBounds(m=1.5, M=2.0)
+
+    def test_an_overflowing_ratio_gives_an_infinite_supremum(self):
+        got = density_bounds_discrete(disc(0.5, 0.5), disc(5e-324, 1.0))
+        assert got == DensityBounds(m=0.5, M=math.inf)
+
+    @pytest.mark.parametrize(
+        "m, M", [(math.nan, 2.0), (math.inf, math.inf), (0.5, math.nan), (0.5, -math.inf)]
+    )
+    def test_bounds_type_rejects_all_but_an_infinite_supremum(self, m, M):
+        with pytest.raises(DomainError):
+            DensityBounds(m=m, M=M)
 
     @given(weights, weights)
     def test_straddles_one_and_brackets_ratios(self, wp, wq):

@@ -86,6 +86,10 @@ class TestReversePinsker:
         with pytest.raises(DomainError):
             reverse_pinsker(0.1, SUP, DensityBounds(0.0, 2.0))
 
+    def test_infinite_supremum_rejected(self):
+        with pytest.raises(DomainError, match="finite essential supremum"):
+            reverse_pinsker(0.1, SUP, DensityBounds(0.5, math.inf))
+
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             reverse_pinsker(-0.1, SUP, DensityBounds(0.5, 2.0))
@@ -245,6 +249,22 @@ class TestSandwichRows:
         assert got.upper == pytest.approx(want.upper, rel=1e-13)
         assert type(got.divergence) is float and type(got.all_hold) is bool
         assert rows.report(1).upper == 0.0
+
+    def test_an_overflowing_density_ratio_agrees_with_the_scalar_checker(self):
+        # 0.5 / 5e-324 overflows, without a warning: M and U are inf, and
+        # that KL term takes its log as log 0.5 - log 5e-324
+        rows = check_sandwich_rows(np.array([[0.5, 0.5]]), np.array([[5e-324, 1.0]]))
+        want = check_sandwich_same_dim(disc(0.5, 0.5), disc(5e-324, 1.0))
+        assert want.divergence == 371.5268887801307
+        assert (want.upper, want.all_hold) == (math.inf, True)
+        got = rows.report(0)
+        assert (got.poly_lb, got.divergence, got.upper, got.all_hold) == (
+            want.poly_lb,
+            want.divergence,
+            want.upper,
+            want.all_hold,
+        )
+        assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "p, q, error",
