@@ -156,13 +156,6 @@ class DiscreteDistribution(_Record):
     def __post_init__(self, probs):
         if type(probs) in (list, tuple) and _PLAIN_NUMBERS.issuperset(map(type, probs)):
             values = tuple(map(float, probs))
-        elif (
-            # a float64 vector; one can exist only once numpy is loaded
-            type(probs) is getattr(sys.modules.get("numpy"), "ndarray", None)
-            and probs.ndim == 1
-            and probs.dtype.char == "d"
-        ):
-            values = tuple(probs.tolist())
         else:
             # arrays, nested lists and strings convert as numpy converts them
             import numpy as np

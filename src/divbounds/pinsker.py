@@ -152,8 +152,6 @@ def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> 
         raise DomainError(
             f"reverse Pinsker needs a positive essential infimum, got m = {bounds.m}"
         )
-    if not math.isfinite(bounds.M):
-        raise DomainError("reverse Pinsker needs a finite essential supremum")
     d = convert_tv(delta, conv, PINNED_TV_CONVENTION)
     if bounds.m == 1.0 or bounds.M == 1.0:
         if d != 0.0:
@@ -162,6 +160,8 @@ def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> 
                 f"so delta must be 0, got {d}"
             )
         return 0.0
+    if not math.isfinite(bounds.M):
+        raise DomainError("reverse Pinsker needs a finite essential supremum")
     return d * (_phi(bounds.M) - _phi(bounds.m))
 
 

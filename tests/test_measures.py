@@ -82,8 +82,7 @@ class TestDiscreteDistribution:
         ids=["float64", "swapped", "strided", "float32", "int", "bool"],
     )
     def test_arrays_convert_as_numpy_converts_them(self, probs):
-        # a float64 vector is read with tolist(), other arrays through
-        # np.asarray(..., dtype=float): the same floats either way
+        # arrays go through np.asarray(..., dtype=float), as numpy converts
         probs.flags.writeable = False
         got = DiscreteDistribution(probs)._probs
         assert got == tuple(np.asarray(probs, dtype=float).tolist())

@@ -276,11 +276,22 @@ class TestSandwichRows:
             ([[1.0, 0.0]], [[0.5, 0.5]], DomainError),  # m = 0
             ([[0.5, 0.5]], [[0.5, 0.5, 0.0]], DomainError),  # shapes differ
             ([[1e308, 1e308]], [[0.5, 0.5]], InvalidDistributionError),  # sum overflows
+            ([[0.5, 0.5, 1e-13]], [[0.5, 0.5, 5e-324]], DomainError),  # m = 1, M = inf
         ],
     )
     def test_rejects_what_the_scalar_checker_rejects(self, p, q, error):
         with pytest.raises(error):
+            check_sandwich_same_dim(disc(*p[0]), disc(*q[0]))
+        with pytest.raises(error):
             check_sandwich_rows(np.array(p), np.array(q))
+
+    def test_identical_measures_claim_outranks_an_infinite_supremum(self):
+        # m = 1 while 1e-13 / 5e-324 overflows: both checkers name m = 1
+        p, q = [0.5, 0.5, 1e-13], [0.5, 0.5, 5e-324]
+        with pytest.raises(DomainError, match="identical measures"):
+            check_sandwich_same_dim(disc(*p), disc(*q))
+        with pytest.raises(DomainError, match="identical measures"):
+            check_sandwich_rows(np.array([p]), np.array([q]))
 
     @pytest.mark.parametrize("row, total", [([0.5, 0.6], "1.1"), ([1e308, 1e308], "inf")])
     def test_bad_row_total_prints_as_a_plain_float(self, row, total):
