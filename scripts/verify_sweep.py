@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Oracle sweep: convention scan, seeded fuzz runs, and tightness grid.
+"""Oracle sweep: TV convention, seeded fuzz runs, and tightness grid.
 
-A heavier cousin of ``divbounds verify``: the sandwich fuzz is repeated
-across a range of seeds, and the binary-grid tightness scan runs at a
-configurable resolution. Prints one JSON line per stage; exits 2 if any
-stage fails, and 1 with one stderr line, before any stage runs, on a bad
-argument.
+A heavier cousin of ``divbounds verify``: the TV convention is settled
+once, by the pairs that attain the reverse Pinsker bound; the sandwich
+fuzz is repeated across a range of seeds; and the binary-grid tightness
+scan runs at a configurable resolution. Prints one JSON line per stage;
+exits 2 if any stage fails, and 1 with one stderr line, before any stage
+runs, on a bad argument.
 """
 
 import argparse
@@ -27,7 +28,9 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=20_000, help="per seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--max-support", type=int, default=6)
-    parser.add_argument("--step", type=float, default=1e-3)
+    parser.add_argument(
+        "--step", type=float, default=1e-3, help="grid step of the tightness scan"
+    )
     args = parser.parse_args()
     try:
         return run(args)
@@ -43,7 +46,7 @@ def run(args) -> int:
 
     ok = True
 
-    convention = resolve_tv_convention(step=args.step)
+    convention = resolve_tv_convention()
     matches = convention is PINNED_TV_CONVENTION
     ok &= matches
     print(dumps({"stage": "convention", "resolved": convention.value, "matches_pinned": matches}))

@@ -1,10 +1,10 @@
 """Brute-force ground truth on small discrete spaces.
 
 Exhaustive grids over binary (and, as a spot check, ternary) probability
-vectors validate the optimal lower-bound curve from below, the reverse
-Pinsker bound from above, and settle which total-variation scale that
-upper bound consumes. Binary supports suffice for the lower-bound curve:
-restricting to two-point spaces loses nothing there.
+vectors validate the optimal lower-bound curve from below: restricting to
+two-point spaces loses nothing there. Random pairs check the whole bound
+chain. The TV scale the reverse Pinsker bound consumes is settled by the
+pairs that attain it; an exhaustive grid scan of KL <= U is a test oracle.
 """
 
 import math
@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .measures import TvConvention, _Record
+from .measures import DiscreteDistribution, TvConvention, _Record
+from .measures import density_bounds_discrete, kl_discrete, tv_discrete
 from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
 from .serialize import dumps
 from .vajda import vajda_lower_bound
@@ -29,13 +30,20 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
-# grid pairs per array pass of the binary- and ternary-grid scans: each
+# grid pairs per array pass of the binary- and ternary-grid minima: each
 # float64 temporary of a pass (80 KB) stays below glibc's 128 KiB mmap
 # threshold, so the allocator reuses it instead of page-faulting afresh
 _GRID_CHUNK_PAIRS = 10_000
-# the finest grid step the scans accept: at 1e-4 the convention scan
-# already covers 1e8 pairs, and finer steps exhaust memory
+# the finest grid step the scans accept: at 1e-4 the ternary grid's index
+# is built from 1.6 GB of meshes, and finer steps exhaust memory
 MIN_GRID_STEP = 1e-4
+# the density bounds (m, M) of the pairs that settle the TV convention, and
+# how far U may fall from KL there, relative: kl_discrete's contract allows
+# 2.9e-13 on these pairs, the TV and phi a few ulps; 1e-9 miscalings fail
+_ATTAINING_BOUNDS = tuple(
+    (m, M) for m in (1e-3, 0.01, 0.1, 0.5, 0.9) for M in (1.1, 2.0, 10.0, 100.0, 1e3)
+)
+ATTAINMENT_REL_TOL = 1e-12
 
 
 class OracleGridSpec(_Record):
@@ -311,41 +319,31 @@ def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
     )
 
 
-def resolve_tv_convention(step: float = 1e-3) -> TvConvention:
+def _attainment_gaps(conv: TvConvention):
+    # (U - KL) / KL with delta read on ``conv``, at Q = (q, 1 - q) and
+    # P = (Mq, m(1 - q)), q = (1 - m) / (M - m): dP/dQ takes m and M
+    for m, M in _ATTAINING_BOUNDS:
+        q1 = (1.0 - m) / (M - m)
+        p = DiscreteDistribution([M * q1, m * (1.0 - q1)])
+        q = DiscreteDistribution([q1, 1.0 - q1])
+        kl, db = kl_discrete(p, q), density_bounds_discrete(p, q)
+        yield (tv_discrete(p, q, conv) * (_phi(db.M) - _phi(db.m)) - kl) / kl
+
+
+def resolve_tv_convention() -> TvConvention:
     """Settle which TV scale the reverse-Pinsker formula consumes.
 
-    Exhaustive scan of strictly positive binary pairs on a grid: if
-    KL <= U holds everywhere with delta read as SUP, that convention is
-    returned; otherwise VARIATIONAL is tried; if neither validates the
-    implementation is broken and an error is raised. Deterministic.
-    ``step`` must pass OracleGridSpec's checks.
+    The pair whose density ratio takes exactly the values m and M attains
+    the bound, so KL equals U there on the right scale. Returns the
+    convention on whose reading of delta U is within ATTAINMENT_REL_TOL
+    of KL at the pair of every (m, M) in _ATTAINING_BOUNDS; raises if
+    neither scale is, since the implementation is then broken.
     """
-    OracleGridSpec(step=step)
-    n = round(1.0 / step)
-    a = np.arange(1, n) / n
-    q1 = a[None, :]
-    holds_sup = holds_var = True
-    # chunk the p side so the pairwise arrays stay modest
-    chunk = max(1, _GRID_CHUNK_PAIRS // a.size)
-    for start in range(0, a.size, chunk):
-        p1 = a[start : start + chunk, None]
-        r1 = p1 / q1
-        r2 = (1.0 - p1) / (1.0 - q1)
-        kl = p1 * np.log(r1) + (1.0 - p1) * np.log(r2)
-        with np.errstate(invalid="ignore"):
-            # phi(1) is 0/0; ratios of 1 occur only on the diagonal p = q,
-            # where delta and the bound are 0
-            slope = _phi(np.maximum(r1, r2), np) - _phi(np.minimum(r1, r2), np)
-        bound = np.where(p1 == q1, 0.0, np.abs(p1 - q1) * slope)
-        holds_sup = holds_sup and bool(np.all(kl <= bound + 1e-12))
-        holds_var = holds_var and bool(np.all(kl <= 2.0 * bound + 1e-12))
-    if holds_sup:
-        return TvConvention.SUP
-    if holds_var:
-        return TvConvention.VARIATIONAL
+    for conv in (TvConvention.SUP, TvConvention.VARIATIONAL):
+        if all(abs(gap) <= ATTAINMENT_REL_TOL for gap in _attainment_gaps(conv)):
+            return conv
     raise RuntimeError(
-        "neither TV convention validates the reverse-Pinsker bound on the "
-        "binary grid; the upper-bound implementation must be wrong"
+        "neither TV convention makes U equal KL where it is attained; U is wrong"
     )
 
 
@@ -363,18 +361,20 @@ def verify_tightness(step: float, gap_tol: float) -> list:
 
 
 def run_verify(trials: int, seed: int, step: float, gap_tol: float):
-    """The `divbounds verify` workflow: convention scan, fuzz, tightness.
+    """The `divbounds verify` workflow: convention, fuzz, tightness.
 
     Returns (summary, fuzz): the object the command prints, and the
-    FuzzReport whose violations it writes to stderr. ``trials``, ``seed``
-    and ``step`` are checked before any stage runs.
+    FuzzReport whose violations it writes to stderr. ``trials``, ``seed``,
+    ``step`` and ``gap_tol`` are checked before any stage runs.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     OracleGridSpec(step=step)
-    convention = resolve_tv_convention(step=step)
+    if not 0 < gap_tol < math.inf:
+        raise DomainError(f"gap_tol must be positive and finite, got {gap_tol}")
+    convention = resolve_tv_convention()
     fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)
     tightness = verify_tightness(step, gap_tol)
     matches = convention is PINNED_TV_CONVENTION

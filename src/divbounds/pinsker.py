@@ -13,11 +13,11 @@ phi(M) * (r - 1) of divergence per unit of total variation and mass
 moving down removes at least phi(m) * (1 - r). When m = 1 or M = 1 the
 pair is forced to be identical and U degenerates to 0.
 
-The scale on which delta enters the formula is fixed empirically by
-``oracle.resolve_tv_convention`` (an exhaustive binary-grid scan of
-D_KL <= U), which selects the SUP convention; attainment makes any looser
-scaling non-optimal. The choice is pinned here as ``PINNED_TV_CONVENTION``
-and guarded by a test that reruns the scan.
+The scale on which delta enters the formula is settled by that
+attainment (``oracle.resolve_tv_convention``: KL equals U at such pairs
+on the SUP reading of delta, and half of U on the other) and pinned here
+as ``PINNED_TV_CONVENTION``. A test checks it against an exhaustive
+binary-grid scan of D_KL <= U, kept in the test suite as an oracle.
 
 numpy is imported only by the batched checker ``check_sandwich_rows``,
 and ``augmented`` only by ``check_sandwich_augmented``. The discrete

@@ -6,12 +6,14 @@ values frozen below, from adaptive quadrature of |f_a - f_b| (the library's
 quadrature module, which no runtime path uses) and from Monte Carlo; the
 polynomial bound and the curve's power series come from exact rational
 arithmetic, and the curve constants were computed once at 50-digit
-precision and frozen. The one exception is the projection search's
-per-step refinement, frozen below as the reference for its screened
-form: it scores with the library's ``kl_gaussian_1d``, whose own tests
-use the mpmath values here. Frozen copies of former library code (the
-discrete kernels, ``kl_gaussian_1d``'s body) and search results recorded
-from an earlier version guard rewrites that must stay bit-identical.
+precision and frozen. Two exceptions use a library kernel: the
+projection search's per-step refinement, frozen below as the reference
+for its screened form, scores with the library's ``kl_gaussian_1d``,
+whose own tests use the mpmath values here; and the exhaustive TV
+convention scan evaluates U through ``pinsker._phi``, the function whose
+scale it settles. Frozen copies of former library code (the discrete
+kernels, ``kl_gaussian_1d``'s body) and search results recorded from an
+earlier version guard rewrites that must stay bit-identical.
 """
 
 import math
@@ -20,6 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from divbounds.measures import TvConvention
+from divbounds.oracle import _GRID_CHUNK_PAIRS, OracleGridSpec
+from divbounds.pinsker import _phi
 from divbounds.quadrature import integrate_adaptive
 
 # --- frozen 50-digit-precision curve values (nearest doubles) ------------
@@ -484,6 +489,45 @@ def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float
         candidate = float(terms.sum(axis=2)[feasible].min())
         best = candidate if best is None else min(best, candidate)
     return best
+
+
+def tv_convention_scan(step: float = 1e-3) -> TvConvention:
+    """The exhaustive binary-grid scan that settles the TV convention.
+
+    A copy of the scan ``oracle.resolve_tv_convention`` ran before it
+    decided by attainment, kept as the reference it must agree with. If
+    KL <= U holds at every strictly positive binary pair on the grid with
+    delta read as SUP, that convention is returned; otherwise VARIATIONAL
+    is tried; if neither holds, the implementation is broken and an error
+    is raised. ``step`` must pass OracleGridSpec's checks.
+    """
+    OracleGridSpec(step=step)
+    n = round(1.0 / step)
+    a = np.arange(1, n) / n
+    q1 = a[None, :]
+    holds_sup = holds_var = True
+    # chunk the p side so the pairwise arrays stay modest
+    chunk = max(1, _GRID_CHUNK_PAIRS // a.size)
+    for start in range(0, a.size, chunk):
+        p1 = a[start : start + chunk, None]
+        r1 = p1 / q1
+        r2 = (1.0 - p1) / (1.0 - q1)
+        kl = p1 * np.log(r1) + (1.0 - p1) * np.log(r2)
+        with np.errstate(invalid="ignore"):
+            # phi(1) is 0/0; ratios of 1 occur only on the diagonal p = q,
+            # where delta and the bound are 0
+            slope = _phi(np.maximum(r1, r2), np) - _phi(np.minimum(r1, r2), np)
+        bound = np.where(p1 == q1, 0.0, np.abs(p1 - q1) * slope)
+        holds_sup = holds_sup and bool(np.all(kl <= bound + 1e-12))
+        holds_var = holds_var and bool(np.all(kl <= 2.0 * bound + 1e-12))
+    if holds_sup:
+        return TvConvention.SUP
+    if holds_var:
+        return TvConvention.VARIATIONAL
+    raise RuntimeError(
+        "neither TV convention validates the reverse-Pinsker bound on the "
+        "binary grid; the upper-bound implementation must be wrong"
+    )
 
 
 def refine_projection_per_step(p, q, v, value, perturbations):

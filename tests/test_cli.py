@@ -366,7 +366,7 @@ def test_verify_rejects_bad_tolerance(capsys):
         code, out, err = run_cli(capsys, "verify", "--trials", "50", "--gap-tol", gap_tol)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("divbounds: error: --gap-tol")
+        assert err.startswith("divbounds: error: gap_tol must be positive and finite")
 
 
 @pytest.mark.parametrize(
@@ -385,8 +385,8 @@ def test_negative_seed_is_input_error(capsys, argv):
 
 @pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3", "1e-9"])
 def test_verify_rejects_bad_step_before_running(capsys, step):
-    # the step is checked before the scan and the fuzz run; below the
-    # floor the scans would exhaust memory
+    # the step is checked before any stage runs; below the floor the
+    # tightness grid would exhaust memory
     code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", step)
     assert code == 1
     assert out == ""

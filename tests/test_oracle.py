@@ -8,10 +8,13 @@ from divbounds import (
     DomainError,
     PINNED_TV_CONVENTION,
     TvConvention,
+    density_bounds_discrete,
     fuzz_sandwich,
+    kl_discrete,
     min_kl_at_tv,
     poly_lower_bound,
     resolve_tv_convention,
+    tv_discrete,
     vajda_lower_bound,
 )
 from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker
@@ -246,12 +249,40 @@ class TestResolveTvConvention:
         assert resolve_tv_convention() is PINNED_TV_CONVENTION
 
     def test_coarser_grid_agrees(self):
-        assert resolve_tv_convention(step=0.01) is TvConvention.SUP
+        # the exhaustive scan at step 1e-3 runs in test_pinsker
+        assert oracles.tv_convention_scan(step=0.01) is resolve_tv_convention()
 
-    @pytest.mark.parametrize("step", [0.0, 2.0, float("nan"), 0.3])
-    def test_rejects_the_steps_the_grid_spec_rejects(self, step):
-        with pytest.raises(DomainError):
-            resolve_tv_convention(step=step)
+    def test_pairs_attain_the_bound_on_the_sup_reading_only(self):
+        tol = oracle.ATTAINMENT_REL_TOL
+        for m, M in oracle._ATTAINING_BOUNDS:
+            q1 = (1 - m) / (M - m)
+            p = DiscreteDistribution([M * q1, m * (1 - q1)])
+            q = DiscreteDistribution([q1, 1 - q1])
+            db = density_bounds_discrete(p, q)
+            assert db.m == pytest.approx(m, rel=1e-15)
+            assert db.M == pytest.approx(M, rel=1e-15)
+            kl = kl_discrete(p, q)
+            sup = tv_discrete(p, q, TvConvention.SUP)
+            assert sup == pytest.approx((M - 1) * q1, rel=1e-14)
+            var = tv_discrete(p, q, TvConvention.VARIATIONAL)
+            # U with delta read on each scale
+            slope = oracles.phi_ratio_weight(db.M) - oracles.phi_ratio_weight(db.m)
+            assert abs(sup * slope - kl) <= tol * kl
+            assert abs(var * slope - 2 * kl) <= 2 * tol * kl
+
+    @pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9, 1.5])
+    def test_a_miscaled_phi_is_not_sup(self, monkeypatch, scale):
+        # a scan of KL <= U passes an inflated bound; KL = U at the
+        # attaining pairs fails a miscaling in either direction
+        phi = oracle._phi
+        monkeypatch.setattr(oracle, "_phi", lambda x, *xp: scale * phi(x, *xp))
+        with pytest.raises(RuntimeError, match="neither TV convention"):
+            resolve_tv_convention()
+
+    def test_a_halved_phi_reads_variational(self, monkeypatch):
+        phi = oracle._phi
+        monkeypatch.setattr(oracle, "_phi", lambda x, *xp: 0.5 * phi(x, *xp))
+        assert resolve_tv_convention() is TvConvention.VARIATIONAL
 
 
 class TestRunVerify:
@@ -308,3 +339,9 @@ class TestRunVerify:
     def test_checks_the_trials_before_any_stage(self, failing_stages, trials):
         with pytest.raises(DomainError, match="trials must be >= 1"):
             oracle.run_verify(trials, seed=1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
+
+    @pytest.mark.parametrize("gap_tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_checks_the_gap_tolerance_before_any_stage(self, failing_stages, gap_tol):
+        # nan would fail every tightness row, inf would pass every one
+        with pytest.raises(DomainError, match="gap_tol must be positive and finite"):
+            oracle.run_verify(50, seed=1, step=1e-3, gap_tol=gap_tol)

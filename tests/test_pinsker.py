@@ -40,6 +40,7 @@ def disc(*probs):
 
 def test_pinned_convention_matches_oracle():
     # the named constant is only valid while the exhaustive scan agrees
+    assert oracles.tv_convention_scan(step=1e-3) is PINNED_TV_CONVENTION
     assert resolve_tv_convention() is PINNED_TV_CONVENTION
 
 
