@@ -2,11 +2,12 @@
 """Oracle sweep: TV convention, seeded fuzz runs, and tightness grid.
 
 A heavier cousin of ``divbounds verify``: the TV convention is settled
-once, by the pairs that attain the reverse Pinsker bound; the sandwich
-fuzz is repeated across a range of seeds; and the binary-grid tightness
-scan runs at a configurable resolution. Prints one JSON line per stage;
-exits 2 if any stage fails, and 1 with one stderr line, before any stage
-runs, on a bad argument.
+once, by the pairs that attain the reverse Pinsker bound (``resolved`` is
+null when no scale attains it, and the run fails); the sandwich fuzz is
+repeated across a range of seeds; and the binary-grid minimum of KL at
+each verify TV value is compared with the curve at a configurable grid
+step. Prints one JSON line per stage; exits 2 if any stage fails, and 1
+with one stderr line, before any stage runs, on a bad argument.
 """
 
 import argparse
@@ -15,11 +16,15 @@ import sys
 from divbounds import (
     PINNED_TV_CONVENTION,
     DivBoundsError,
-    OracleGridSpec,
     fuzz_sandwich,
     resolve_tv_convention,
 )
-from divbounds.oracle import VERIFY_GAP_TOL, check_fuzz_arguments, verify_tightness
+from divbounds.oracle import (
+    VERIFY_GAP_TOL,
+    check_fuzz_arguments,
+    check_grid_step,
+    verify_tightness,
+)
 from divbounds.serialize import dumps
 
 
@@ -40,7 +45,7 @@ def main() -> int:
 
 def run(args) -> int:
     # every argument is checked before the first stage prints its line
-    OracleGridSpec(step=args.step)
+    check_grid_step(args.step)
     for seed in args.seeds:
         check_fuzz_arguments(args.trials, args.max_support, seed)
 
@@ -49,7 +54,8 @@ def run(args) -> int:
     convention = resolve_tv_convention()
     matches = convention is PINNED_TV_CONVENTION
     ok &= matches
-    print(dumps({"stage": "convention", "resolved": convention.value, "matches_pinned": matches}))
+    resolved = None if convention is None else convention.value
+    print(dumps({"stage": "convention", "resolved": resolved, "matches_pinned": matches}))
 
     for seed in args.seeds:
         report = fuzz_sandwich(args.trials, max_support=args.max_support, seed=seed)

@@ -33,8 +33,7 @@ _MODULE_EXPORTS = {
         "tv_gaussian_1d",
     ),
     "oracle": (
-        "FuzzReport", "OracleGridSpec", "fuzz_sandwich", "min_kl_at_tv",
-        "resolve_tv_convention",
+        "FuzzReport", "binary_min_kl", "fuzz_sandwich", "resolve_tv_convention",
     ),
     "pinsker": (
         "PINNED_TV_CONVENTION", "AugmentedDensityBounds", "SandwichReport",

@@ -1,10 +1,10 @@
 """Brute-force ground truth on small discrete spaces.
 
-Exhaustive grids over binary (and, as a spot check, ternary) probability
-vectors validate the optimal lower-bound curve from below: restricting to
-two-point spaces loses nothing there. Random pairs check the whole bound
-chain. The TV scale the reverse Pinsker bound consumes is settled by the
-pairs that attain it; an exhaustive grid scan of KL <= U is a test oracle.
+An exhaustive grid over binary probability vectors validates the optimal
+lower-bound curve from below: two-point measures attain it, so larger
+supports need no scan. Random pairs check the whole bound chain. The TV
+scale the reverse Pinsker bound consumes is settled by the pairs that
+attain it; an exhaustive grid scan of KL <= U is a test oracle.
 """
 
 import math
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .measures import DiscreteDistribution, TvConvention, _Record
+from .measures import DiscreteDistribution, TvConvention
 from .measures import density_bounds_discrete, kl_discrete, tv_discrete
 from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
 from .serialize import dumps
@@ -30,12 +30,9 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
-# grid pairs per array pass of the binary- and ternary-grid minima: each
-# float64 temporary of a pass (80 KB) stays below glibc's 128 KiB mmap
-# threshold, so the allocator reuses it instead of page-faulting afresh
-_GRID_CHUNK_PAIRS = 10_000
-# the finest grid step the scans accept: at 1e-4 the ternary grid's index
-# is built from 1.6 GB of meshes, and finer steps exhaust memory
+# the finest grid step the binary-grid minimum accepts: it forms up to
+# 6 / step candidate pairs (54 000 at 1e-4), so far finer steps exhaust
+# memory, and VERIFY_GAP_TOL needs no finer grid
 MIN_GRID_STEP = 1e-4
 # the density bounds (m, M) of the pairs that settle the TV convention, and
 # how far U may fall from KL there, relative: kl_discrete's contract allows
@@ -46,51 +43,13 @@ _ATTAINING_BOUNDS = tuple(
 ATTAINMENT_REL_TOL = 1e-12
 
 
-class OracleGridSpec(_Record):
-    """Grid resolution and optional TV constraint for the scans.
-
-    ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so the grid holds
-    both ends of each probability. ``constraint_delta`` is a variational TV
-    target; pairs whose TV falls within ``constraint_tol`` of it are
-    feasible. The tolerance defaults to the step and may not be smaller.
-    """
-
-    __slots__ = _fields = ("support_size", "step", "constraint_delta", "constraint_tol")
-
-    def __init__(
-        self,
-        support_size: int = 2,
-        step: float = 1e-3,
-        constraint_delta: float | None = None,
-        constraint_tol: float | None = None,
-    ):
-        object.__setattr__(self, "support_size", support_size)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "constraint_delta", constraint_delta)
-        object.__setattr__(self, "constraint_tol", constraint_tol)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.support_size not in (2, 3):
-            raise DomainError(f"support_size must be 2 or 3, got {self.support_size}")
-        if not MIN_GRID_STEP <= self.step <= 0.5:
-            raise DomainError(
-                f"step must lie in [{MIN_GRID_STEP}, 0.5], got {self.step}"
-            )
-        if abs(round(1.0 / self.step) * self.step - 1.0) > 1e-9:
-            raise DomainError(f"step {self.step} does not divide 1")
-        if self.constraint_tol is None:
-            object.__setattr__(self, "constraint_tol", self.step)
-        if self.constraint_tol < self.step:
-            raise DomainError(
-                f"constraint_tol {self.constraint_tol} smaller than step {self.step}"
-            )
-        if self.constraint_delta is not None and not (
-            0 <= self.constraint_delta <= 2
-        ):
-            raise DomainError(
-                f"constraint_delta must lie in [0, 2], got {self.constraint_delta}"
-            )
+def check_grid_step(step: float) -> None:
+    """Raise unless ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so
+    the grid holds both ends of each probability."""
+    if not MIN_GRID_STEP <= step <= 0.5:
+        raise DomainError(f"step must lie in [{MIN_GRID_STEP}, 0.5], got {step}")
+    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        raise DomainError(f"step {step} does not divide 1")
 
 
 def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -100,102 +59,43 @@ def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _simplex_index(support: int, n: int) -> np.ndarray:
-    # integer index vectors of the grid points, each summing to n = 1/step;
-    # point i of the grid is axis[index[i]]
-    i = np.arange(n + 1)
-    if support == 2:
-        return np.column_stack([i, n - i])
-    i, j = np.meshgrid(i, i, indexing="ij")
-    keep = i + j <= n
-    i, j = i[keep], j[keep]
-    return np.column_stack([i, j, n - i - j])
+def binary_min_kl(delta: float, step: float) -> float:
+    """Exhaustive minimum of KL over binary grid pairs near a TV value.
 
+    Minimizes kl(p, q) over the ordered pairs p = (i step, 1 - i step),
+    q = (j step, 1 - j step) whose variational TV lies within ``step`` of
+    ``delta``. Two-point pairs attain the optimal lower bound, so no
+    larger support gets closer to the curve. Pairs violating absolute
+    continuity contribute +inf and never achieve the minimum. Raises if
+    no pair is feasible.
 
-def _simplex_grid(support: int, step: float) -> np.ndarray:
-    # step comes from an OracleGridSpec, which checked that it divides 1;
-    # the axis is indexed for every coordinate, so the last one is exactly
-    # on-grid and never a tiny negative from float subtraction
-    n = round(1.0 / step)
-    return np.linspace(0.0, 1.0, n + 1)[_simplex_index(support, n)]
-
-
-def _lattice_steps(support: int, n: int, lo: int, hi: int) -> np.ndarray:
-    # the zero-sum integer vectors with L1 length in [lo, hi]: the index
-    # differences of grid pairs; neither half of a zero-sum vector exceeds
-    # half its length, so no coordinate exceeds min(n, hi // 2)
-    reach = np.arange(-min(n, hi // 2), min(n, hi // 2) + 1)
-    if support == 2:
-        steps = np.column_stack([reach, -reach])
-    else:
-        i, j = np.meshgrid(reach, reach, indexing="ij")
-        i, j = i.ravel(), j.ravel()
-        steps = np.column_stack([i, j, -i - j])
-    length = np.abs(steps).sum(axis=1)
-    return steps[(lo <= length) & (length <= hi)]
-
-
-def min_kl_at_tv(spec: OracleGridSpec) -> float:
-    """Exhaustive minimum of KL over grid pairs near a fixed TV value.
-
-    Minimizes kl(p, q) over all ordered pairs (p, q) on the simplex grid
-    with |variational TV - constraint_delta| <= constraint_tol. Pairs
-    violating absolute continuity contribute +inf and never achieve the
-    minimum. Raises if no pair is feasible.
-
-    Grid points are index vectors summing to n = 1/step, and a pair whose
-    indices differ by a zero-sum step of L1 length l has variational TV
-    l * step up to a few ulps. So only the pairs whose step lies in the
-    lattice band around (constraint_delta +- constraint_tol) / step, one
-    length wider on each side, can be feasible: those alone are formed,
-    and the float TV test and the KL are applied to them exactly as to
-    the full set of pairs, so the minimum is the full scan's.
+    A pair with offset r = j - i has variational TV 2|r| step up to a few
+    ulps, so only the offsets whose TV lies in the band around ``delta``,
+    one more on each side, can be feasible: those alone are formed, and
+    the float TV test and the KL are applied to them as to every pair.
     """
-    if spec.constraint_delta is None:
-        raise DomainError("min_kl_at_tv needs constraint_delta set")
-    k = spec.support_size
-    n = round(1.0 / spec.step)
+    check_grid_step(step)
+    if not 0 <= delta <= 2:
+        raise DomainError(f"delta must lie in [0, 2], got {delta}")
+    n = round(1.0 / step)
+    # point i of the grid is (axis[i], axis[n - i]): both exactly on-grid
     axis = np.linspace(0.0, 1.0, n + 1)
-    index = _simplex_index(k, n)
-    grid = axis[index]
-    target, tol = spec.constraint_delta, spec.constraint_tol
-    steps = _lattice_steps(
-        k,
-        n,
-        math.floor((target - tol) / spec.step) - 1,
-        math.ceil((target + tol) / spec.step) + 1,
-    )
-    best = math.inf
-    found = False
-    # chunk the grid points so the candidate pairs of a pass stay modest
-    chunk = max(1, _GRID_CHUNK_PAIRS // max(1, steps.shape[0]))
-    for start in range(0, index.shape[0], chunk):
-        # the partner's index one support component at a time; the pairs
-        # whose partner stays inside the simplex are kept
-        b = [index[start : start + chunk, c, None] + steps[:, c] for c in range(k)]
-        inside = b[0] >= 0
-        for c in range(1, k):
-            inside &= b[c] >= 0
-        rows, cols = np.nonzero(inside)
-        p = grid[start + rows]
-        q = axis[np.column_stack([b_c[rows, cols] for b_c in b])]
-        # the TV one support component at a time, then KL only on the
-        # feasible pairs
-        tv_var = np.abs(p[:, 0] - q[:, 0])
-        for c in range(1, k):
-            tv_var += np.abs(p[:, c] - q[:, c])
-        tv_var -= target
-        feasible = np.abs(tv_var) <= tol
-        if not feasible.any():
-            continue
-        found = True
-        kl = _kl_terms(p[feasible], q[feasible]).sum(axis=1)
-        best = min(best, float(kl.min()))
-    if not found:
-        raise DomainError(
-            f"no grid pair has variational TV within {tol} of {target}"
-        )
-    return best
+    lo = max(0, math.ceil((delta - step) / (2 * step)) - 1)
+    hi = min(n, math.floor((delta + step) / (2 * step)) + 1)
+    offsets = np.arange(lo, hi + 1)
+    offsets = np.concatenate([-offsets[offsets > 0], offsets])
+    j = np.arange(n + 1)[:, None] + offsets
+    i, col = np.nonzero((j >= 0) & (j <= n))
+    j = j[i, col]
+    p0, p1, q0, q1 = axis[i], axis[n - i], axis[j], axis[n - j]
+    tv_var = np.abs(p0 - q0)
+    tv_var += np.abs(p1 - q1)
+    tv_var -= delta
+    feasible = np.abs(tv_var) <= step
+    if not feasible.any():
+        raise DomainError(f"no grid pair has variational TV within {step} of {delta}")
+    kl = _kl_terms(p0[feasible], q0[feasible]) + _kl_terms(p1[feasible], q1[feasible])
+    return float(kl.min())
 
 
 class SandwichViolation(NamedTuple):
@@ -330,21 +230,19 @@ def _attainment_gaps(conv: TvConvention):
         yield (tv_discrete(p, q, conv) * (_phi(db.M) - _phi(db.m)) - kl) / kl
 
 
-def resolve_tv_convention() -> TvConvention:
+def resolve_tv_convention() -> TvConvention | None:
     """Settle which TV scale the reverse-Pinsker formula consumes.
 
     The pair whose density ratio takes exactly the values m and M attains
     the bound, so KL equals U there on the right scale. Returns the
     convention on whose reading of delta U is within ATTAINMENT_REL_TOL
-    of KL at the pair of every (m, M) in _ATTAINING_BOUNDS; raises if
+    of KL at the pair of every (m, M) in _ATTAINING_BOUNDS; None if
     neither scale is, since the implementation is then broken.
     """
     for conv in (TvConvention.SUP, TvConvention.VARIATIONAL):
         if all(abs(gap) <= ATTAINMENT_REL_TOL for gap in _attainment_gaps(conv)):
             return conv
-    raise RuntimeError(
-        "neither TV convention makes U equal KL where it is attained; U is wrong"
-    )
+    return None
 
 
 def verify_tightness(step: float, gap_tol: float) -> list:
@@ -352,7 +250,7 @@ def verify_tightness(step: float, gap_tol: float) -> list:
     of VERIFY_DELTAS; a row is ok for a gap in [VERIFY_GAP_FLOOR, gap_tol]."""
     rows = []
     for delta in VERIFY_DELTAS:
-        minimum = min_kl_at_tv(OracleGridSpec(step=step, constraint_delta=delta))
+        minimum = binary_min_kl(delta, step)
         lb = vajda_lower_bound(delta)
         gap = minimum - lb
         ok = VERIFY_GAP_FLOOR <= gap <= gap_tol
@@ -371,7 +269,7 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
         raise DomainError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    OracleGridSpec(step=step)
+    check_grid_step(step)
     if not 0 < gap_tol < math.inf:
         raise DomainError(f"gap_tol must be positive and finite, got {gap_tol}")
     convention = resolve_tv_convention()
@@ -379,7 +277,7 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     tightness = verify_tightness(step, gap_tol)
     matches = convention is PINNED_TV_CONVENTION
     summary = {
-        "convention": convention.value,
+        "convention": None if convention is None else convention.value,
         "convention_matches_pinned": matches,
         "fuzz": {
             "trials": fuzz.n_trials,

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from divbounds.measures import TvConvention
-from divbounds.oracle import _GRID_CHUNK_PAIRS, OracleGridSpec
+from divbounds.oracle import check_grid_step
 from divbounds.pinsker import _phi
 from divbounds.quadrature import integrate_adaptive
 
@@ -468,10 +468,17 @@ def random_spd_matrix(n: int, eigenvalues, rng) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def binary_grid(step: float) -> np.ndarray:
+    """The points (i step, 1 - i step) of the binary grid, one per row,
+    with both coordinates taken from one axis so each is exactly on-grid."""
+    axis = np.linspace(0.0, 1.0, round(1.0 / step) + 1)
+    return np.column_stack([axis, axis[::-1]])
+
+
 def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float:
     """Grid minimum of KL at variational TV within ``tol`` of ``target``.
 
-    A frozen copy of the formula ``oracle.min_kl_at_tv`` used before it
+    A frozen copy of the formula the library's grid minimum used before it
     built the TV plane component by component: the TV and the KL of every
     ordered pair of grid points, reduced over the support axis. Returns
     None when no pair is feasible.
@@ -499,15 +506,15 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     KL <= U holds at every strictly positive binary pair on the grid with
     delta read as SUP, that convention is returned; otherwise VARIATIONAL
     is tried; if neither holds, the implementation is broken and an error
-    is raised. ``step`` must pass OracleGridSpec's checks.
+    is raised. ``step`` must pass ``oracle.check_grid_step``.
     """
-    OracleGridSpec(step=step)
+    check_grid_step(step)
     n = round(1.0 / step)
     a = np.arange(1, n) / n
     q1 = a[None, :]
     holds_sup = holds_var = True
-    # chunk the p side so the pairwise arrays stay modest
-    chunk = max(1, _GRID_CHUNK_PAIRS // a.size)
+    # chunk the p side so the pairwise arrays stay near 10 000 pairs
+    chunk = max(1, 10_000 // a.size)
     for start in range(0, a.size, chunk):
         p1 = a[start : start + chunk, None]
         r1 = p1 / q1

@@ -360,6 +360,41 @@ def test_verify_failure_exits_two(capsys):
     assert json.loads(out)["all_ok"] is False
 
 
+# the stdout of `divbounds verify --trials 10000 --seed 1`, frozen byte for
+# byte: a rewrite of any stage must leave it unchanged
+VERIFY_SEED1_STDOUT = (
+    '{"convention":"sup","convention_matches_pinned":true,"fuzz":{"trials":10000,"max_support":6,"seed":1,"violations":0},"tightness":['
+    '{"delta":0.2,"oracle_min":0.02004469567663804,"vajda_lb":0.02004468315795296,"gap":1.2518685078150016e-08,"ok":true},'
+    '{"delta":0.5,"oracle_min":0.1267967006354879,"vajda_lb":0.1267966535063854,"gap":4.712910250947999e-08,"ok":true},'
+    '{"delta":0.9,"oracle_min":0.4255281605239188,"vajda_lb":0.42552811843870686,"gap":4.208521192650139e-08,"ok":true},'
+    '{"delta":1.3,"oracle_min":0.9503876102746189,"vajda_lb":0.950387258162676,"gap":3.521119429361619e-07,"ok":true},'
+    '{"delta":1.7,"oracle_min":1.8905692981966078,"vajda_lb":1.890569270350521,"gap":2.7846086769756084e-08,"ok":true}],"all_ok":true}\n'
+)
+
+
+def test_verify_stdout_is_frozen(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--trials", "10000", "--seed", "1")
+    assert code == 0
+    assert out == VERIFY_SEED1_STDOUT
+
+
+def test_verify_with_a_broken_upper_bound_exits_two(capsys, monkeypatch):
+    # no TV scale makes U equal KL where it is attained: one failing
+    # summary line and exit 2, not a traceback
+    from divbounds import oracle
+
+    phi = oracle._phi
+    monkeypatch.setattr(oracle, "_phi", lambda x, *xp: (1 + 1e-9) * phi(x, *xp))
+    code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", "0.01")
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    payload = json.loads(out)
+    assert payload["convention"] is None
+    assert payload["convention_matches_pinned"] is False
+    assert payload["all_ok"] is False
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_bad_tolerance(capsys):
     # nan would fail every tightness row, inf would pass every one
     for gap_tol in ("-1", "nan", "inf"):

@@ -8,116 +8,90 @@ from divbounds import (
     DomainError,
     PINNED_TV_CONVENTION,
     TvConvention,
+    binary_min_kl,
     density_bounds_discrete,
     fuzz_sandwich,
     kl_discrete,
-    min_kl_at_tv,
     poly_lower_bound,
     resolve_tv_convention,
     tv_discrete,
     vajda_lower_bound,
 )
 from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker
-from divbounds.oracle import OracleGridSpec, SandwichViolation, _simplex_grid
+from divbounds.oracle import SandwichViolation, check_grid_step
 from divbounds.pinsker import SandwichReport
 
 
-class TestOracleGridSpec:
-    def test_defaults_tolerance_to_step(self):
-        spec = OracleGridSpec(step=0.01, constraint_delta=0.5)
-        assert spec.constraint_tol == 0.01
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"support_size": 4},
-            {"step": 0.0},
-            {"step": 0.7},
-            {"step": 2.0},
-            {"step": -0.1},
-            {"step": float("nan")},
-            {"step": 0.3},
-            {"step": 0.01, "constraint_tol": 0.001},
-            {"constraint_delta": 2.5},
-            {"step": 1e-5},
-            {"step": 1e-9},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            OracleGridSpec(**kwargs)
+class TestCheckGridStep:
+    @pytest.mark.parametrize("step", [0.0, 0.7, 2.0, -0.1, float("nan"), 0.3, 1e-5, 1e-9])
+    def test_validation(self, step):
+        with pytest.raises(DomainError, match="^step"):
+            check_grid_step(step)
+        with pytest.raises(DomainError, match="^step"):
+            binary_min_kl(0.5, step)
 
     def test_step_floor_is_accepted(self):
-        assert OracleGridSpec(step=oracle.MIN_GRID_STEP).step == 1e-4
+        check_grid_step(oracle.MIN_GRID_STEP)
+        assert binary_min_kl(0.5, oracle.MIN_GRID_STEP) >= vajda_lower_bound(0.5) - 1e-9
 
 
 class TestMinKlAtTv:
     def test_zero_delta_is_zero(self):
-        spec = OracleGridSpec(step=0.01, constraint_delta=0.0)
-        assert min_kl_at_tv(spec) == 0.0
+        assert binary_min_kl(0.0, 0.01) == 0.0
 
-    def test_requires_constraint(self):
-        with pytest.raises(DomainError):
-            min_kl_at_tv(OracleGridSpec(step=0.01))
+    @pytest.mark.parametrize("delta", [-0.1, 2.5, float("nan")])
+    def test_delta_outside_the_range_is_rejected(self, delta):
+        with pytest.raises(DomainError, match="delta must lie in"):
+            binary_min_kl(delta, 0.5)
 
     def test_binary_brackets_lower_bound_coarse(self):
         # exact from below, near-attained from above; coarse grid keeps
         # this module test fast, the acceptance suite runs step 1e-3
         for delta in (0.2, 0.9, 1.3):
-            spec = OracleGridSpec(step=0.01, constraint_delta=delta)
-            gap = min_kl_at_tv(spec) - vajda_lower_bound(delta)
+            gap = binary_min_kl(delta, 0.01) - vajda_lower_bound(delta)
             assert -1e-9 <= gap <= 5e-2
 
     def test_binary_never_below_curve_on_attainable_grid(self):
         for delta in np.arange(0.1, 1.95, 0.1).round(3):
-            spec = OracleGridSpec(step=0.05, constraint_delta=float(delta))
-            assert min_kl_at_tv(spec) >= vajda_lower_bound(float(delta)) - 1e-9
+            assert binary_min_kl(float(delta), 0.05) >= vajda_lower_bound(float(delta)) - 1e-9
 
-    def test_ternary_spot_check(self):
-        spec = OracleGridSpec(support_size=3, step=0.01, constraint_delta=0.5)
-        gap = min_kl_at_tv(spec) - vajda_lower_bound(0.5)
-        assert -1e-9 <= gap <= 5e-2
+    def test_ternary_table_never_below_curve(self):
+        # a third support point never gets below the curve: the frozen
+        # support-3 grid minima, whose pairs have TV >= delta - step, lie
+        # above the curve at delta - step
+        for delta, minimum in oracles.MIN_KL_AT_TV_S3_STEP002.items():
+            assert minimum >= vajda_lower_bound(max(0.0, delta - 0.02)) - 1e-9
 
     def test_saturated_delta_returns_inf(self):
         # only disjoint pairs reach variational TV 2; their KL is infinite
-        spec = OracleGridSpec(step=0.5, constraint_delta=2.0)
-        assert min_kl_at_tv(spec) == np.inf
+        assert binary_min_kl(2.0, 0.5) == np.inf
 
     @pytest.mark.parametrize(
-        "support, step, deltas",
+        "step, deltas",
         [
-            (2, 1e-3, (0.0, 0.2, 0.2005, 1.3, 1.999, 2.0)),
-            (2, 0.05, tuple(np.linspace(0.0, 2.0, 81))),
-            (2, 0.5, (0.0, 0.25, 0.5, 1.0, 1.75, 2.0)),
-            (3, 0.02, (0.0, 0.5, 0.51, 1.7, 2.0)),
-            (3, 0.05, (*np.linspace(0.0, 2.0, 21), 0.025, 0.525, 1.025, 1.975)),
+            (1e-3, (0.0, 0.2, 0.2005, 1.3, 1.999, 2.0)),
+            (0.05, tuple(np.linspace(0.0, 2.0, 81))),
+            (0.5, (0.0, 0.25, 0.5, 1.0, 1.75, 2.0)),
         ],
     )
-    def test_equals_frozen_all_pairs_formula(self, support, step, deltas):
-        # lattice and half-lattice targets; on the grids small enough for
-        # the all-pairs reference to be quick, tolerances of 3 and 10 steps
-        # widen the band of lattice steps the scan forms, and 2.5 takes
-        # every pair; the support-3, step-0.02 reference is frozen, as it
-        # takes over a second to recompute
-        grid = _simplex_grid(support, step)
-        wide = (3 * step, 10 * step, 2.5) if grid.shape[0] <= 300 else ()
-        for tol in (step, *wide):
-            for delta in deltas:
-                spec = OracleGridSpec(
-                    support_size=support,
-                    step=step,
-                    constraint_delta=float(delta),
-                    constraint_tol=tol,
-                )
-                if (support, step) == (3, 0.02):
-                    want = oracles.MIN_KL_AT_TV_S3_STEP002[delta]
-                else:
-                    want = oracles.min_kl_at_tv_all_pairs(grid, float(delta), tol)
-                if want is None:
-                    with pytest.raises(DomainError):
-                        min_kl_at_tv(spec)
-                else:
-                    assert min_kl_at_tv(spec) == want
+    def test_equals_frozen_all_pairs_formula(self, step, deltas):
+        # lattice and half-lattice targets
+        self._check_all_pairs(step, deltas)
+
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    def test_off_lattice_sweep_equals_all_pairs(self, step):
+        self._check_all_pairs(step, np.linspace(0.0, 2.0, 409))
+
+    @staticmethod
+    def _check_all_pairs(step, deltas):
+        grid = oracles.binary_grid(step)
+        for delta in deltas:
+            want = oracles.min_kl_at_tv_all_pairs(grid, float(delta), step)
+            if want is None:
+                with pytest.raises(DomainError, match="no grid pair"):
+                    binary_min_kl(float(delta), step)
+            else:
+                assert binary_min_kl(float(delta), step) == want
 
 
 class TestFuzzSandwich:
@@ -276,8 +250,7 @@ class TestResolveTvConvention:
         # attaining pairs fails a miscaling in either direction
         phi = oracle._phi
         monkeypatch.setattr(oracle, "_phi", lambda x, *xp: scale * phi(x, *xp))
-        with pytest.raises(RuntimeError, match="neither TV convention"):
-            resolve_tv_convention()
+        assert resolve_tv_convention() is None
 
     def test_a_halved_phi_reads_variational(self, monkeypatch):
         phi = oracle._phi
@@ -290,8 +263,7 @@ class TestRunVerify:
         rows = oracle.verify_tightness(step=0.01, gap_tol=oracle.VERIFY_GAP_TOL)
         assert [row["delta"] for row in rows] == list(oracle.VERIFY_DELTAS)
         for row in rows:
-            spec = OracleGridSpec(step=0.01, constraint_delta=row["delta"])
-            assert row["oracle_min"] == min_kl_at_tv(spec)
+            assert row["oracle_min"] == binary_min_kl(row["delta"], 0.01)
             assert row["vajda_lb"] == vajda_lower_bound(row["delta"])
             assert row["gap"] == row["oracle_min"] - row["vajda_lb"]
             assert row["ok"] is (

@@ -19,7 +19,6 @@ from divbounds import (
     GammaSearchResult,
     Gaussian1D,
     GaussianND,
-    OracleGridSpec,
     ProjectionSearchResult,
     SandwichReport,
     StiefelFrame,
@@ -46,11 +45,6 @@ RECORDS = {
         True,
     ),
     "SandwichReport": (SandwichReport, _REPORT.as_dict(), True),
-    "OracleGridSpec": (
-        OracleGridSpec,
-        dict(support_size=3, step=0.25, constraint_delta=1.0, constraint_tol=0.5),
-        True,
-    ),
     "SandwichViolation": (
         SandwichViolation, dict(p=(0.5, 0.5), q=(0.25, 0.75), report=_REPORT), True,
     ),
@@ -146,8 +140,3 @@ def test_records_of_different_classes_differ():
 def test_named_tuple_records_equal_plain_tuples():
     assert CurvePoint(1.0, 0.6, 0.2) == (1.0, 0.6, 0.2)
     assert DensityBounds(0.5, 2.0) != (0.5, 2.0)
-
-
-def test_grid_spec_tolerance_defaults_to_the_step():
-    assert OracleGridSpec(step=0.25).constraint_tol == 0.25
-    assert OracleGridSpec() == OracleGridSpec(2, 1e-3, None, 1e-3)

@@ -48,11 +48,15 @@ def _check_verify_sweep(stdout):
 
 
 def _start(name, argv):
+    return _popen(str(SCRIPTS / f"{name}.py"), *argv)
+
+
+def _popen(*args):
     # the child imports the package under test, however this run found it
     package_root = str(Path(divbounds.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, str(SCRIPTS / f"{name}.py"), *argv],
+        [sys.executable, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
@@ -78,6 +82,27 @@ def test_projection_demo_rejects_a_negative_seed():
     assert proc.returncode == 1
     assert stdout == ""
     assert stderr == "projection_demo.py: error: seed must be >= 0, got -1\n"
+
+
+def test_verify_sweep_with_a_broken_upper_bound_exits_two():
+    # phi scaled by 1 + 1e-9: no TV scale makes U equal KL where it is
+    # attained, so the convention stage fails without a traceback
+    script = SCRIPTS / "verify_sweep.py"
+    proc = _popen(
+        "-c",
+        "import runpy, sys\n"
+        "from divbounds import oracle\n"
+        "phi = oracle._phi\n"
+        "oracle._phi = lambda x, *xp: (1 + 1e-9) * phi(x, *xp)\n"
+        f"sys.argv = [{str(script)!r}, '--trials', '50', '--seeds', '1', '--step', '0.01']\n"
+        f"runpy.run_path({str(script)!r}, run_name='__main__')\n"
+    )
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in stderr
+    lines = [json.loads(line) for line in stdout.splitlines()]
+    assert lines[0] == {"stage": "convention", "resolved": None, "matches_pinned": False}
+    assert lines[-1] == {"stage": "summary", "all_ok": False}
 
 
 @pytest.mark.parametrize(
