@@ -61,16 +61,25 @@ def _load_distribution(arg: str):
         return distribution_from_json(handle.read())
 
 
-def _add_convention_flag(parser, required: bool = True, default=None):
+def _add_convention_flag(parser, required: bool = True):
     parser.add_argument(
         "--convention",
         type=_convention,
         required=required,
-        default=default,
         choices=list(TvConvention),
         metavar="{sup,variational}",
         help="total-variation scaling convention",
     )
+
+
+def _augmented_bounds(args, wanted: bool, error: str):
+    # (embedding, projection) bounds from --m1/--M1/--m2/--M2 if ``wanted``;
+    # DivBoundsError(error) unless all four, or if not wanted none, are given
+    four = (args.m1, args.M1, args.m2, args.M2)
+    if four.count(None) != (0 if wanted else 4):
+        raise DivBoundsError(error)
+    if wanted:
+        return DensityBounds(m=args.m1, M=args.M1), DensityBounds(m=args.m2, M=args.M2)
 
 
 def _cmd_divergence(args) -> int:
@@ -116,17 +125,20 @@ def _cmd_poly(args) -> int:
     if (args.delta is None) == (args.xi is None):
         raise DivBoundsError("poly needs exactly one of --delta or --xi")
     if args.delta is not None:
-        d = convert_tv(args.delta, args.convention, TvConvention.VARIATIONAL)
+        conv = args.convention or TvConvention.VARIATIONAL
+        d = convert_tv(args.delta, conv, TvConvention.VARIATIONAL)
         print(
             dumps(
                 {
                     "delta_variational": d,
                     "poly_lb": vajda.poly_lower_bound(d),
-                    "convention": args.convention.value,
+                    "convention": conv.value,
                 }
             )
         )
     else:
+        if args.convention is not None:
+            raise DivBoundsError("poly --xi takes no --convention")
         delta_star = vajda.invert_poly_bound(args.xi)
         print(
             dumps(
@@ -142,11 +154,9 @@ def _cmd_poly(args) -> int:
 
 def _cmd_reverse_pinsker(args) -> int:
     from . import pinsker
-    simple = args.m is not None or args.M is not None
-    four = [args.m1, args.M1, args.m2, args.M2]
-    if simple and any(v is not None for v in four):
-        raise DivBoundsError("give either --m/--M or all of --m1/--M1/--m2/--M2")
-    if simple:
+    if args.m is not None or args.M is not None:
+        either = "give either --m/--M or all of --m1/--M1/--m2/--M2"
+        _augmented_bounds(args, False, either)
         if args.m is None or args.M is None:
             raise DivBoundsError("--m and --M go together")
         upper = pinsker.reverse_pinsker(
@@ -154,10 +164,8 @@ def _cmd_reverse_pinsker(args) -> int:
         )
         print(dumps({"upper": upper, "convention": args.convention.value}))
     else:
-        if any(v is None for v in four):
-            raise DivBoundsError("augmented mode needs all of --m1/--M1/--m2/--M2")
-        emb = DensityBounds(m=args.m1, M=args.M1)
-        proj = DensityBounds(m=args.m2, M=args.M2)
+        need = "augmented mode needs all of --m1/--M1/--m2/--M2"
+        emb, proj = _augmented_bounds(args, True, need)
         u1 = pinsker.reverse_pinsker(args.delta, args.convention, emb)
         u2 = pinsker.reverse_pinsker(args.delta, args.convention, proj)
         # the augmented bound is the larger one-sided bound
@@ -214,19 +222,16 @@ def _cmd_sandwich(args) -> int:
     p = _load_distribution(args.p)
     q = _load_distribution(args.q)
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
+        unused = "discrete inputs take no --convention, --atv or --m1/--M1/--m2/--M2"
+        _augmented_bounds(args, False, unused)
+        if args.convention is not None or args.atv is not None:
+            raise DivBoundsError(unused)
         report = pinsker.check_sandwich_same_dim(p, q)
     elif isinstance(p, Gaussian1D) and isinstance(q, GaussianND):
-        four = [args.m1, args.M1, args.m2, args.M2]
-        if any(v is None for v in four):
-            raise DivBoundsError(
-                "augmented sandwich needs all of --m1/--M1/--m2/--M2"
-            )
+        need = "augmented sandwich needs all of --m1/--M1/--m2/--M2"
+        bounds = pinsker.AugmentedDensityBounds(*_augmented_bounds(args, True, need))
         if args.convention is None:
             raise DivBoundsError("augmented sandwich needs --convention for the TV")
-        bounds = pinsker.AugmentedDensityBounds(
-            emb=DensityBounds(m=args.m1, M=args.M1),
-            proj=DensityBounds(m=args.m2, M=args.M2),
-        )
         atv = args.atv
         if atv is None:
             from . import augmented
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("poly", help="polynomial lower bound or its inversion")
     s.add_argument("--delta", type=float, default=None)
     s.add_argument("--xi", type=float, default=None, help="KL value to invert")
-    _add_convention_flag(s, required=False, default=TvConvention.VARIATIONAL)
+    _add_convention_flag(s, required=False)
     s.set_defaults(func=_cmd_poly)
 
     s = sub.add_parser("reverse-pinsker", help="upper bound from density bounds")

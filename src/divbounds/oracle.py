@@ -2,9 +2,10 @@
 
 An exhaustive grid over binary probability vectors validates the optimal
 lower-bound curve from below: two-point measures attain it, so larger
-supports need no scan. Random pairs check the whole bound chain. The TV
-scale the reverse Pinsker bound consumes is settled by the pairs that
-attain it; an exhaustive grid scan of KL <= U is a test oracle.
+supports need no scan. Random pairs on 2..VERIFY_MAX_SUPPORT points
+check the whole bound chain. The TV scale the reverse Pinsker bound
+consumes is settled by the pairs that attain it; an exhaustive grid scan
+of KL <= U is a test oracle. ``run_verify`` is ``divbounds verify``.
 """
 
 import math
@@ -130,9 +131,6 @@ class FuzzReport(NamedTuple):
     over all trials.
     """
 
-    n_trials: int
-    max_support: int
-    seed: int
     violations: tuple
     vajda_minus_poly: FuzzMargin
     kl_minus_vajda: FuzzMargin
@@ -150,18 +148,19 @@ class FuzzReport(NamedTuple):
         return "\n".join(dumps(v.as_dict()) for v in self.violations)
 
 
-def _draw_block(rng, n: int, max_support: int):
-    """n pairs on supports of 2..max_support points, zero-padded to max_support."""
-    k = rng.integers(2, max_support + 1, size=n)
-    used = np.arange(max_support) < k[:, None]
+def _draw_block(rng, n: int):
+    """n pairs on supports of 2..VERIFY_MAX_SUPPORT points, zero-padded to it."""
+    width = VERIFY_MAX_SUPPORT
+    k = rng.integers(2, width + 1, size=n)
+    used = np.arange(width) < k[:, None]
     used = np.concatenate([used, used], axis=1)
-    draws = rng.exponential(size=(n, 2 * max_support))
+    draws = rng.exponential(size=(n, 2 * width))
     redraw = np.any((draws <= 0) & used, axis=1)
     while redraw.any():
-        draws[redraw] = rng.exponential(size=(int(redraw.sum()), 2 * max_support))
+        draws[redraw] = rng.exponential(size=(int(redraw.sum()), 2 * width))
         redraw = np.any((draws <= 0) & used, axis=1)
     draws = np.where(used, draws, 0.0)
-    p, q = draws[:, :max_support], draws[:, max_support:]
+    p, q = draws[:, :width], draws[:, width:]
     return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
 
 
@@ -170,30 +169,23 @@ def _drawn_pair(p: np.ndarray, q: np.ndarray, k: np.ndarray, i: int) -> tuple:
     return tuple(p[i, : k[i]].tolist()), tuple(q[i, : k[i]].tolist())
 
 
-def check_fuzz_arguments(n_trials: int, max_support: int, seed: int) -> None:
-    """Raise the DomainError ``fuzz_sandwich`` raises for these arguments."""
-    if n_trials < 1:
-        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
-    if max_support < 2:
-        raise DomainError(f"max_support must be >= 2, got {max_support}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-
-
-def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
+def fuzz_sandwich(n_trials: int, seed: int) -> FuzzReport:
     """Random strictly-positive pairs pushed through the sandwich checker.
 
-    Supports are drawn uniformly in 2..max_support, probabilities by
-    normalizing exponential draws (uniform on the simplex). Trials are
+    Supports are drawn uniformly in 2..VERIFY_MAX_SUPPORT, probabilities
+    by normalizing exponential draws (uniform on the simplex). Trials are
     drawn and checked in blocks of arrays. Violations are collected, not
     raised; the expected count is zero.
     """
-    check_fuzz_arguments(n_trials, max_support, seed)
+    if n_trials < 1:
+        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     violations = []
     margins = [None, None, None]
     for start in range(0, n_trials, _FUZZ_BLOCK):
-        k, p, q = _draw_block(rng, min(_FUZZ_BLOCK, n_trials - start), max_support)
+        k, p, q = _draw_block(rng, min(_FUZZ_BLOCK, n_trials - start))
         rows = check_sandwich_rows(p, q)
         links = (
             rows.vajda_lb - rows.poly_lb,
@@ -209,9 +201,6 @@ def fuzz_sandwich(n_trials: int, max_support: int, seed: int) -> FuzzReport:
                 SandwichViolation(*_drawn_pair(p, q, k, i), report=rows.report(i))
             )
     return FuzzReport(
-        n_trials=n_trials,
-        max_support=max_support,
-        seed=seed,
         violations=tuple(violations),
         vajda_minus_poly=margins[0],
         kl_minus_vajda=margins[1],
@@ -273,16 +262,16 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     if not 0 < gap_tol < math.inf:
         raise DomainError(f"gap_tol must be positive and finite, got {gap_tol}")
     convention = resolve_tv_convention()
-    fuzz = fuzz_sandwich(trials, max_support=VERIFY_MAX_SUPPORT, seed=seed)
+    fuzz = fuzz_sandwich(trials, seed)
     tightness = verify_tightness(step, gap_tol)
     matches = convention is PINNED_TV_CONVENTION
     summary = {
         "convention": None if convention is None else convention.value,
         "convention_matches_pinned": matches,
         "fuzz": {
-            "trials": fuzz.n_trials,
-            "max_support": fuzz.max_support,
-            "seed": fuzz.seed,
+            "trials": trials,
+            "max_support": VERIFY_MAX_SUPPORT,
+            "seed": seed,
             "violations": fuzz.n_violations,
         },
         "tightness": tightness,

@@ -31,7 +31,12 @@ from divbounds import (
     search_projection_divergence,
     vajda_lower_bound,
 )
-from divbounds.oracle import VERIFY_GAP_FLOOR, VERIFY_GAP_TOL, verify_tightness
+from divbounds.oracle import (
+    VERIFY_GAP_FLOOR,
+    VERIFY_GAP_TOL,
+    VERIFY_MAX_SUPPORT,
+    verify_tightness,
+)
 
 SUP = TvConvention.SUP
 
@@ -123,7 +128,8 @@ def test_criterion_3_oracle_tightness():
 def test_criterion_4_reverse_pinsker_fuzz():
     start = time.perf_counter()
     convention = resolve_tv_convention()
-    report = fuzz_sandwich(100_000, max_support=6, seed=1)
+    n_trials = 100_000
+    report = fuzz_sandwich(n_trials, seed=1)
     elapsed = time.perf_counter() - start
     ok = (
         convention is PINNED_TV_CONVENTION
@@ -134,7 +140,7 @@ def test_criterion_4_reverse_pinsker_fuzz():
         4,
         "upper bound never violated",
         ok,
-        f"{report.n_trials} random pairs (supports 2-6), "
+        f"{n_trials} random pairs (supports 2-{VERIFY_MAX_SUPPORT}), "
         f"{report.n_violations} violations under {convention.value} convention; "
         f"{elapsed:.1f}s (< 60s)",
     )

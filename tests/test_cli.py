@@ -283,6 +283,66 @@ def test_sandwich_augmented_missing_bounds_is_input_error(capsys):
     assert "m1" in err
 
 
+DISCRETE_IGNORES = "discrete inputs take no --convention, --atv or --m1/--M1/--m2/--M2"
+FOUR_BOUNDS = ["--m1", "0.5", "--M1", "2", "--m2", "0.25", "--M2", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC,
+          "--convention", "sup", "--m1", "0.1", "--atv", "0.3"], DISCRETE_IGNORES),
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--convention", "sup"],
+         DISCRETE_IGNORES),
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--atv", "0.3"], DISCRETE_IGNORES),
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--M2", "4"], DISCRETE_IGNORES),
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC, *FOUR_BOUNDS], DISCRETE_IGNORES),
+        (["poly", "--xi", "0.5", "--convention", "sup"],
+         "poly --xi takes no --convention"),
+    ],
+    ids=["sandwich_all_three", "sandwich_convention", "sandwich_atv",
+         "sandwich_one_bound", "sandwich_four_bounds", "poly_xi_convention"],
+)
+def test_a_flag_the_mode_ignores_is_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"divbounds: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reverse-pinsker", "--m", "0.5", "--M", "2", "--m1", "0.5"],
+         "give either --m/--M or all of --m1/--M1/--m2/--M2"),
+        (["reverse-pinsker", "--m", "0.5", "--M", "2", *FOUR_BOUNDS],
+         "give either --m/--M or all of --m1/--M1/--m2/--M2"),
+        (["reverse-pinsker", "--m", "0.5"], "--m and --M go together"),
+        (["reverse-pinsker"], "augmented mode needs all of --m1/--M1/--m2/--M2"),
+        (["reverse-pinsker", *FOUR_BOUNDS[:6]],
+         "augmented mode needs all of --m1/--M1/--m2/--M2"),
+        (["sandwich", "--p", P_G1, "--q", Q_G3, *FOUR_BOUNDS[2:]],
+         "augmented sandwich needs all of --m1/--M1/--m2/--M2"),
+        (["sandwich", "--p", P_G1, "--q", Q_G3, *FOUR_BOUNDS],
+         "augmented sandwich needs --convention for the TV"),
+    ],
+)
+def test_density_bound_flags_are_all_or_none(capsys, argv, message):
+    if argv[0] == "reverse-pinsker":
+        argv = [*argv, "--delta", "0.1", "--convention", "sup"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"divbounds: error: {message}\n"
+
+
+def test_poly_delta_echoes_a_stated_convention(capsys):
+    code, out, _ = run_cli(capsys, "poly", "--delta", "0.5", "--convention", "sup")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {
+        "delta_variational": 1.0, "poly_lb": poly_lower_bound(1.0), "convention": "sup"
+    }
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(P_DISC))
     code, out, _ = run_cli(

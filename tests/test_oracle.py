@@ -96,28 +96,25 @@ class TestMinKlAtTv:
 
 class TestFuzzSandwich:
     def test_trial_count_validated(self):
-        with pytest.raises(DomainError):
-            fuzz_sandwich(0, max_support=4, seed=1)
-        with pytest.raises(DomainError):
-            fuzz_sandwich(10, max_support=1, seed=1)
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            fuzz_sandwich(10, max_support=4, seed=-1)
+        with pytest.raises(DomainError, match="n_trials must be >= 1, got 0"):
+            fuzz_sandwich(0, seed=1)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            fuzz_sandwich(10, seed=-1)
 
     def test_no_violations_small_run(self):
-        report = fuzz_sandwich(2000, max_support=6, seed=123)
+        report = fuzz_sandwich(2000, seed=123)
         assert report.ok
         assert report.n_violations == 0
-        assert report.n_trials == 2000
 
     def test_reproducible(self):
-        a = fuzz_sandwich(500, max_support=5, seed=77)
-        b = fuzz_sandwich(500, max_support=5, seed=77)
+        a = fuzz_sandwich(500, seed=77)
+        b = fuzz_sandwich(500, seed=77)
         assert a.violations == b.violations
         assert a.to_json_lines() == b.to_json_lines()
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_clean_across_seed_sweep(self, seed):
-        assert fuzz_sandwich(1000, max_support=6, seed=seed).ok
+        assert fuzz_sandwich(1000, seed=seed).ok
 
     def test_trials_not_a_multiple_of_the_block(self, monkeypatch):
         sizes = []
@@ -128,14 +125,23 @@ class TestFuzzSandwich:
 
         monkeypatch.setattr(oracle, "_FUZZ_BLOCK", 64)
         monkeypatch.setattr(oracle, "check_sandwich_rows", recording)
-        report = fuzz_sandwich(150, max_support=5, seed=3)
-        assert sizes == [(64, 5), (64, 5), (22, 5)]
-        assert report.n_trials == 150 and report.ok
+        report = fuzz_sandwich(150, seed=3)
+        assert sizes == [(64, 6), (64, 6), (22, 6)]
+        assert report.ok
+
+    def test_a_block_draws_every_support_size(self):
+        k, p, q = oracle._draw_block(np.random.default_rng(0), 8192)
+        assert p.shape == q.shape == (8192, oracle.VERIFY_MAX_SUPPORT)
+        assert set(k.tolist()) == set(range(2, oracle.VERIFY_MAX_SUPPORT + 1))
+        within = np.arange(oracle.VERIFY_MAX_SUPPORT) < k[:, None]
+        for x in (p, q):
+            assert np.all(x[within] > 0) and np.all(x[~within] == 0)
+            np.testing.assert_allclose(x.sum(axis=1), 1.0, rtol=1e-15)
 
     def test_forced_violations_keep_their_rows(self, monkeypatch):
         # a negative slack makes every chain fail, so every trial reports
         monkeypatch.setattr(pinsker, "REPORT_TOL", -1.0)
-        report = fuzz_sandwich(40, max_support=6, seed=5)
+        report = fuzz_sandwich(40, seed=5)
         assert report.n_violations == 40 and not report.ok
         lines = report.to_json_lines().split("\n")
         assert len(lines) == 40
@@ -145,7 +151,7 @@ class TestFuzzSandwich:
                 "p", "q", "poly_lb", "vajda_lb", "divergence", "upper", "all_hold"
             ]
             assert payload["all_hold"] is False
-            # the pair on its own support, not padded to max_support
+            # the pair on its own support, not padded to VERIFY_MAX_SUPPORT
             assert 2 <= len(payload["p"]) == len(payload["q"]) <= 6
             assert min(payload["p"]) > 0 and min(payload["q"]) > 0
             want = check_sandwich_same_dim(
@@ -171,7 +177,7 @@ class TestFuzzSandwich:
             )
 
     def test_margins_are_small_and_reproducible(self):
-        report = fuzz_sandwich(3000, max_support=6, seed=9)
+        report = fuzz_sandwich(3000, seed=9)
         for margin in (
             report.vajda_minus_poly,
             report.kl_minus_vajda,
@@ -193,7 +199,7 @@ class TestFuzzSandwich:
     def test_curve_margin_over_polynomial_is_rounding(self, seed):
         # the smallest vajda - poly of a verify-sized fuzz run meets the
         # allowance of acceptance criterion 2, relative to the polynomial
-        report = fuzz_sandwich(10_000, max_support=oracle.VERIFY_MAX_SUPPORT, seed=seed)
+        report = fuzz_sandwich(10_000, seed=seed)
         margin = report.vajda_minus_poly
         delta = float(np.abs(np.subtract(margin.p, margin.q)).sum())
         assert margin.value >= -2e-15 * poly_lower_bound(delta)
@@ -286,7 +292,7 @@ class TestRunVerify:
             "trials": 300, "max_support": 6, "seed": 1, "violations": 0
         }
         assert summary["all_ok"] is True
-        assert fuzz.ok and fuzz.n_trials == 300
+        assert fuzz.ok
         failing, _ = oracle.run_verify(50, seed=1, step=0.01, gap_tol=1e-12)
         assert failing["all_ok"] is False
 

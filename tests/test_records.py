@@ -51,7 +51,7 @@ RECORDS = {
     "FuzzReport": (
         FuzzReport,
         dict(
-            n_trials=10, max_support=6, seed=1, violations=(),
+            violations=(),
             vajda_minus_poly=_MARGIN, kl_minus_vajda=_MARGIN, upper_minus_kl=_MARGIN,
         ),
         True,
