@@ -53,12 +53,18 @@ def _convention(text: str) -> TvConvention:
 
 
 def _load_distribution(arg: str):
-    if arg == "-":
-        return distribution_from_json(sys.stdin.read())
     if arg.lstrip().startswith("{"):
         return distribution_from_json(arg)
-    with open(arg, "r", encoding="utf-8") as handle:
-        return distribution_from_json(handle.read())
+    try:
+        if arg == "-":
+            text = sys.stdin.read()
+        else:
+            with open(arg, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        source = "standard input" if arg == "-" else arg
+        raise DivBoundsError(f"{source} is not UTF-8 text: {exc}") from exc
+    return distribution_from_json(text)
 
 
 def _add_convention_flag(parser, required: bool = True):

@@ -467,6 +467,17 @@ def density_bounds_discrete(
     return DensityBounds(m=min(ratios), M=max(ratios))
 
 
+def _json_numbers(value):
+    # JSON numbers parse to int and float; float() and numpy would also take
+    # a string or a boolean inside a list, which a numeric field must not hold.
+    # Anything but a list is left to the constructor's own checks.
+    for item in value if isinstance(value, list) else ():
+        if isinstance(item, (str, bool)):
+            raise ValueError(f"{json.dumps(item)} is not a number")
+        _json_numbers(item)
+    return value
+
+
 def distribution_from_json(source) -> Distribution:
     """Parse a distribution literal from a JSON string or mapping.
 
@@ -474,6 +485,8 @@ def distribution_from_json(source) -> Distribution:
         {"type": "discrete",   "probs": [...]}
         {"type": "gaussian1d", "mu": ..., "sigma2": ...}
         {"type": "gaussiannd", "nu": [...], "sigma": [[...], ...]}
+    Every number must be a JSON number; a string or a boolean in its place
+    makes the literal malformed (DomainError).
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -487,11 +500,13 @@ def distribution_from_json(source) -> Distribution:
     kind = obj["type"]
     try:
         if kind == "discrete":
-            return DiscreteDistribution(obj["probs"])
+            return DiscreteDistribution(_json_numbers(obj["probs"]))
         if kind == "gaussian1d":
-            return Gaussian1D(mu=float(obj["mu"]), sigma2=float(obj["sigma2"]))
+            mu, sigma2 = _json_numbers([obj["mu"], obj["sigma2"]])
+            return Gaussian1D(mu=float(mu), sigma2=float(sigma2))
         if kind == "gaussiannd":
-            return GaussianND(nu=obj["nu"], sigma=obj["sigma"])
+            return GaussianND(nu=_json_numbers(obj["nu"]),
+                              sigma=_json_numbers(obj["sigma"]))
     except KeyError as exc:
         raise DomainError(f"missing field {exc} for type {kind!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

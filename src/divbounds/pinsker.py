@@ -208,11 +208,13 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
     none of its quantities. Each row must pass DiscreteDistribution's
     checks, and p absolutely continuous w.r.t. q with m > 0, as in the
     scalar checker; a failing row raises the scalar checker's error, and a
-    ratio past the largest double makes M and U inf there too. For
-    k < 8, poly equals the scalar value, KL agrees within ``kl_discrete``'s
-    contract (np.log rounds differently from math.log), the curve as
-    ``vajda_lower_bound_array`` states, and the upper bound to a few ulps
-    of the two phi values it subtracts (likewise for log1p).
+    ratio past the largest double makes M and U inf there too. As there, a
+    delta beyond delta_max() takes the curve at delta_max(). For k < 8,
+    poly equals the scalar value, KL agrees within ``kl_discrete``'s
+    contract (np.log rounds differently from math.log), the curve within
+    1e-14 relative from delta = 1e-40 up (below ~1e-57 the scalar curve
+    floors at 1.21e-116, the batched one is delta^2/2), and the upper bound
+    to a few ulps of the two phi values it subtracts (likewise for log1p).
     """
     import numpy as np
     p = np.asarray(p, dtype=float)

@@ -370,6 +370,25 @@ def test_missing_file_is_input_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_one_error_line(capsys, monkeypatch, tmp_path, source):
+    raw = b"\xff\xfe"
+    if source == "file":
+        arg = str(tmp_path / "bad.json")
+        Path(arg).write_bytes(raw)
+    else:
+        # a UTF-8 locale reads standard input strictly
+        arg = "-"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), "utf-8"))
+    code, out, err = run_cli(
+        capsys, "divergence", "--p", arg, "--q", Q_DISC, "--convention", "sup"
+    )
+    name = arg if source == "file" else "standard input"
+    assert code == 1 and out == ""
+    assert err.startswith(f"divbounds: error: {name} is not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_command_exits_one(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 1
 

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -430,6 +431,25 @@ class TestJsonParsing:
     def test_malformed_rejected(self, bad):
         with pytest.raises(DomainError):
             distribution_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "literal, shown",
+        [
+            ('{"type":"gaussian1d","mu":0,"sigma2":"1"}', '"1"'),
+            ('{"type":"gaussian1d","mu":false,"sigma2":1}', "false"),
+            ('{"type":"gaussian1d","mu":0,"sigma2":true}', "true"),
+            ('{"type":"discrete","probs":["0.5","0.5"]}', '"0.5"'),
+            ('{"type":"discrete","probs":[true,false]}', "true"),
+            ('{"type":"gaussiannd","nu":[0,"1"],"sigma":[[1,0],[0,1]]}', '"1"'),
+            ('{"type":"gaussiannd","nu":[0,1],"sigma":[[1,false],[0,1]]}', "false"),
+        ],
+    )
+    def test_only_json_numbers_are_numbers(self, literal, shown):
+        kind = json.loads(literal)["type"]
+        with pytest.raises(DomainError) as info:
+            distribution_from_json(literal)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"malformed {kind!r} literal: {shown} is not a number"
 
     def test_invalid_distribution_surfaces(self):
         with pytest.raises(InvalidDistributionError):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from divbounds import (
     reid_lower_bound,
     vajda_lower_bound,
 )
+from divbounds import vajda
 from divbounds.vajda import (
     _FAR_T,
     _L_SERIES,
@@ -33,6 +35,8 @@ from divbounds.vajda import (
     _delta_at_array,
     _l_at,
     _log_grid,
+    _slope,
+    _slope_series,
     delta_max,
     vajda_lower_bound_array,
 )
@@ -93,6 +97,26 @@ class TestCurveAtParameter:
         for below, above in ([_delta_at(t) for t in ts], _delta_at_array(np.array(ts))):
             assert above == pytest.approx(below, rel=5e-15)
 
+    def test_slope_against_mpmath(self):
+        # delta'(t) = 1 - c^2 - 2 t c (1/t^2 - 1/sinh^2 t) at 40 digits; the
+        # closed form cancels as t grows, hence 4e-11 above t = 1
+        import mpmath
+
+        ts = np.geomspace(1e-12, T_MAX, 400)
+        with mpmath.workdps(40):
+            refs = []
+            for t in map(mpmath.mpf, ts):
+                c = mpmath.coth(t) - 1 / t
+                slope = 1 - c * c - 2 * t * c * (1 / t**2 - mpmath.csch(t) ** 2)
+                refs.append(float(slope))
+        refs = np.array(refs)
+        closed = _slope(ts.clip(_SMALL_T), np)
+        batched = np.where(ts < _SMALL_T, _slope_series(ts), closed)
+        scalar = [_slope_series(t) if t < _SMALL_T else _slope(t, math) for t in ts]
+        for got in (batched, np.array(scalar)):
+            rel = np.abs(got - refs) / refs
+            assert rel[ts <= 1.0].max() <= 1e-15 and rel.max() <= 4e-11
+
     def test_l_forms_meet_at_switch(self):
         below, above = (_l_at(math.nextafter(_L_SERIES_T, x)) for x in (0.0, 1.0))
         assert above == pytest.approx(below, rel=5e-15)
@@ -145,13 +169,43 @@ class TestVajdaLowerBound:
 
 class TestVajdaLowerBoundArray:
     def test_matches_scalar_on_log_grid(self):
-        deltas = np.concatenate(
-            [[0.0], np.geomspace(1e-6, delta_max(), 3000), [1e-300, 1e-60]]
-        )
+        # down to 1e-40, the floor of the scalar driver's contract
+        deltas = np.concatenate([[0.0], np.geomspace(1e-40, delta_max(), 3000)])
         batched = vajda_lower_bound_array(deltas)
         scalar = np.array([vajda_lower_bound(float(d)) for d in deltas])
         rel = np.abs(batched - scalar) / np.where(scalar > 0, scalar, 1.0)
         assert rel.max() <= 1e-14
+
+    def test_tiny_deltas_are_half_delta_squared(self):
+        # L = delta^2/2 (1 + delta^2/18 + ...); the scalar driver floors below
+        # ~1e-57, the batched one must not. Subnormal references are held to
+        # the smallest normal double, absolute.
+        deltas = [5e-324, 1e-300, 1e-200, 1.5e-154, 1e-150, 1e-100, 1e-60, 1e-57, 1e-45]
+        got = vajda_lower_bound_array(np.array(deltas))
+        for d, value in zip(deltas, got):
+            ref = float(Fraction(d) ** 2 / 2)
+            tol = 1e-15 * ref if ref >= sys.float_info.min else sys.float_info.min
+            assert abs(value - ref) <= tol, d
+
+    def test_whole_domain_in_six_passes_without_warnings(self, monkeypatch):
+        # the pass cap raises, so a clean return under a cap of 6 shows the
+        # documented pass count; the real cap leaves room above it
+        monkeypatch.setattr(vajda, "_NEWTON_MAX_PASSES", 6)
+        deltas = np.concatenate([
+            [0.0],
+            np.geomspace(5e-324, delta_max(), 20000),
+            np.linspace(0.0, delta_max(), 20000),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vajda_lower_bound_array(deltas)
+        order = np.argsort(deltas, kind="stable")
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got[order]) >= 0)
+
+    def test_pass_cap_raises_instead_of_returning(self, monkeypatch):
+        monkeypatch.setattr(vajda, "_NEWTON_MAX_PASSES", 2)
+        with pytest.raises(RuntimeError, match="over 2 Newton passes"):
+            vajda_lower_bound_array(np.array([0.5, 1.5]))
 
     @pytest.mark.parametrize(
         "deltas", [[-1e-3], [1.9999999], [float("nan")], [[0.5, 0.6]]]
