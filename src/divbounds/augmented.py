@@ -7,13 +7,13 @@ infimum of the divergence over all such pushforwards is the augmented
 divergence. Any feasible frame therefore witnesses an upper estimate of
 it, which is what the Monte-Carlo search below produces: for a
 mean-matched pushforward along a unit row v the 1-D KL depends on v only
-through the Rayleigh quotient v^T Sigma v, so the search scores its
-drawn frames as array expressions, a block of rows at a time. Along a
-refinement direction v + h z the quotient is a ratio of two quadratics
-in h, so each refinement step is screened with float arithmetic on terms
-computed once per frame, and vector work is left to the steps it passes.
-Steps are screened and scored through one scalar Gaussian-KL kernel on
-plain floats, so the search builds no measure until its witness.
+through the Rayleigh quotient v^T Sigma v, so the search ranks a block of
+drawn rows by two BLAS row sums and scores only the winner, from its own
+vector. Along a refinement direction v + h z the quotient is a ratio of
+two quadratics in h, so each step is screened with float arithmetic on
+terms kept per frame and updated in place when a step is taken. Winners
+and steps are scored through one scalar Gaussian-KL kernel on plain
+floats, so the search builds no measure until its witness.
 
 For Gaussians the KL infimum has a closed form in the variance sigma^2 of
 the 1-D side and the extreme eigenvalues [zeta_min, zeta_max] of the n-D
@@ -27,7 +27,8 @@ with the 1-D TV in place of the 1-D KL, and needs no search.
 """
 
 import math
-import sys
+import numbers
+import operator
 import warnings
 
 import numpy as np
@@ -74,9 +75,10 @@ class StiefelFrame(_Record):
             raise DomainError(f"frame must be wide (d <= n), got {d}x{n}")
         if b.shape != (d,):
             raise DomainError(f"offset must have length {d}, got shape {b.shape}")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(v).all() and np.isfinite(b).all()):
             raise DomainError("frame entries must be finite")
-        gram_defect = float(np.linalg.norm(v @ v.T - np.eye(d)))
+        defect = v @ v.T - np.eye(d)
+        gram_defect = math.sqrt(np.vdot(defect, defect))  # Frobenius norm
         if gram_defect > ORTHONORMALITY_TOL:
             raise DomainError(
                 f"rows not orthonormal: Frobenius defect {gram_defect:.3e} "
@@ -150,13 +152,24 @@ def pushforward_gaussian(q: GaussianND, frame: StiefelFrame):
     return GaussianND(nu=mean, sigma=0.5 * (cov + cov.T))
 
 
+def _integer(name: str, value, least: int) -> int:
+    # a float or string count or seed is a DomainError, not numpy's TypeError
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
     """Draw a uniformly distributed frame with d orthonormal rows in R^n.
 
     Takes the reduced Householder QR of the transpose of a d x n matrix of
     independent standard normal draws from ``default_rng(seed)`` (anything
-    ``numpy.random.default_rng`` accepts; a negative integer seed is a
-    DomainError, as in the search) and flips each column of Q by the
+    ``numpy.random.default_rng`` accepts; a number must be an integer
+    >= 0, as in the search) and flips each column of Q by the
     sign of R's diagonal entry (+1 where it is 0), which makes the frame
     uniform on the Stiefel manifold (Mezzadri, Notices AMS 2007). That is
     the QR whose R has a positive diagonal, so the rows equal the draw's
@@ -167,8 +180,8 @@ def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
     """
     if not 1 <= d <= n:
         raise DomainError(f"need 1 <= d <= n, got d = {d}, n = {n}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, numbers.Number):
+        _integer("seed", seed, 0)
     g = np.random.default_rng(seed).standard_normal((d, n))
     q, r = np.linalg.qr(g.T)
     q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
@@ -204,23 +217,6 @@ def gaussian_akl(p: Gaussian1D, q: GaussianND) -> float:
     return 0.0 if end is None else kl_gaussian_1d(p, end)
 
 
-def _mean_matched_kl(p: Gaussian1D, q: GaussianND, v: np.ndarray) -> np.ndarray:
-    # kl_gaussian_1d from p to the pushforward along each unit row of v,
-    # offset so the means match (a mean mismatch only adds to it): with
-    # s = v^T Sigma v the Rayleigh quotient and r = sigma^2 / s, it is
-    # (1/2)(r - 1 - log r), log r taken from the two logs where r is 0 or
-    # subnormal; a ratio that overflows gives inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = np.einsum("...i,ij,...j->...", v, q.sigma, v)
-        r = p.sigma2 / s
-        log_r = np.log(r)
-        tiny = r < sys.float_info.min
-        if tiny.any():
-            log_r[tiny] = math.log(p.sigma2) - np.log(s[tiny])
-        kl = 0.5 * (r - 1.0 - log_r)
-    return np.where(r == np.inf, np.inf, np.maximum(kl, 0.0))
-
-
 def search_projection_divergence(
     p: Gaussian1D,
     q: GaussianND,
@@ -232,59 +228,66 @@ def search_projection_divergence(
 
     Draws ``budget`` uniform unit frames as the normalized rows of a
     (budget, n) standard normal matrix from ``default_rng(seed)``, so a
-    larger budget extends the same rows, and evaluates the mean-matched
-    KL of each block of rows at once; then refines the best frame with
-    random re-normalized perturbations of shrinking size: the generator's
-    next (100, n) draws. A step is screened by the KL at the Rayleigh
-    quotient of v + h z expanded in h; one that passes is scored from its
-    own unit vector and taken only if that value still improves, so
-    ``best_value`` is always the KL at the returned frame's own quotient.
-    Screen and score both call the scalar kernel behind ``kl_gaussian_1d``
-    on floats; a quotient that overflows to inf scores inf and is rejected.
-    The offset is always set by mean matching. The result upper-estimates
-    the augmented KL, which ``gaussian_akl`` gives in closed form.
+    larger budget extends the same rows. Each block of rows is ranked by
+    a key monotone in the mean-matched KL, from two row sums on the raw
+    rows; only the winner is normalized and scored from its own vector.
+    The best frame is refined with random re-normalized perturbations of
+    shrinking size: the generator's next (100, n) draws. A step is
+    screened by the KL at the Rayleigh quotient of v + h z expanded in h,
+    from terms updated per accepted step; one that passes is scored from
+    its own unit vector and taken only if that still improves. So
+    ``best_value`` is the KL at the returned frame's own quotient, which
+    is clamped to [zeta_min, zeta_max] where rounding leaves it: the
+    result never falls below ``gaussian_akl``, the closed form it
+    upper-estimates. Scoring and screening call the scalar kernel behind
+    ``kl_gaussian_1d`` on floats. The offset is set by mean matching.
 
-    ``objective`` must be "kl".
+    ``objective`` must be "kl", ``budget`` an integer >= 1 and ``seed``
+    an integer >= 0.
     """
     if objective != "kl":
         raise DomainError(f"objective must be 'kl', got {objective!r}")
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    budget = _integer("budget", budget, 1)
+    seed = _integer("seed", seed, 0)
     n = q.dim
+    s_p = p.sigma2
+    zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+
+    def score(v):
+        # a unit row's quotient lies in the spectrum; rounding can leave it
+        s = float(np.einsum("i,ij,j->", v, q.sigma, v))
+        s = min(max(s, zeta_min), zeta_max)
+        return s, _kl_gaussian(s_p, s, 0.0)
+
+    ones = np.ones(n)
     rng = np.random.default_rng(seed)
     best_v = None
     for start in range(0, budget, _DRAW_BLOCK):
-        frames = rng.standard_normal((min(_DRAW_BLOCK, budget - start), n))
-        frames /= np.sqrt(np.add.reduce(frames * frames, axis=1, keepdims=True))
-        values = _mean_matched_kl(p, q, frames)
-        best = int(np.argmin(values))
-        if best_v is None or values[best] < best_value:
-            best_value = float(values[best])
-            best_v = frames[best]
+        rows = rng.standard_normal((min(_DRAW_BLOCK, budget - start), n))
+        # with s a row's quotient and r = sigma^2 / s the KL is
+        # (r - 1 - log r) / 2, so rows rank by r + log s - log sigma^2,
+        # which stays finite where r underflows; s <= 0 or nan ranks last
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = ((rows @ q.sigma) * rows) @ ones / ((rows * rows) @ ones)
+            key = s_p / s + (np.log(s) - math.log(s_p))
+        row = rows[int(np.argmin(np.where(s > 0, key, math.inf)))]
+        v = row / math.sqrt(row.dot(row))
+        s_v, value = score(v)
+        if best_v is None or value < best_value:
+            best_v, best_s, best_value = v, s_v, value
 
     # along best_v + h z the Rayleigh quotient is N / D, with
     #   D = v.v + h (2 z.v + h z.z),
     #   N = v.Sigma v + h (2 z.Sigma v + h z.Sigma z),
-    # so a step is screened from floats kept per frame; only a step that
-    # passes is scored from its own unit vector, and only an accepted one
-    # recomputes the frame's terms
+    # so a step is screened from floats kept per frame; the perturbations'
+    # Gram matrices carry z.v and z.Sigma v over to (v + h z_k) / norm
     perturbations = rng.standard_normal((_REFINE_STEPS, n))
-    zz = np.einsum("ij,ij->i", perturbations, perturbations).tolist()
-    zsz = np.einsum("ij,jk,ik->i", perturbations, q.sigma, perturbations).tolist()
-
-    def frame_terms(v):
-        sv = q.sigma @ v
-        return (
-            float(v @ v),
-            float(v @ sv),
-            (perturbations @ v).tolist(),
-            (perturbations @ sv).tolist(),
-        )
-
-    vv, vsv, zv, zsv = frame_terms(best_v)
-    s_p = p.sigma2
+    z_zs = np.concatenate((perturbations, perturbations @ q.sigma))
+    grams = (z_zs @ perturbations.T.copy()).reshape(2, _REFINE_STEPS, _REFINE_STEPS)
+    zz, zsz = grams.diagonal(axis1=1, axis2=2).tolist()
+    terms = (z_zs @ best_v).reshape(2, _REFINE_STEPS)
+    zv, zsv = terms.tolist()
+    vv, vsv = float(best_v.dot(best_v)), best_s
     step = _REFINE_INITIAL_STEP
     stale = 0
     for k in range(_REFINE_STEPS):
@@ -295,22 +298,19 @@ def search_projection_divergence(
             norm = math.sqrt(candidate.dot(candidate))
             if norm >= 1e-12:
                 candidate /= norm
-                # the Rayleigh quotient can round to 0 on a near-singular sigma
-                s = float(np.einsum("i,ij,j->", candidate, q.sigma, candidate))
-                value = _kl_gaussian(s_p, s, 0.0) if s > 0 else math.inf
+                s, value = score(candidate)
                 if value < best_value:
-                    best_value = value
-                    best_v = candidate
-                    vv, vsv, zv, zsv = frame_terms(best_v)
+                    best_v, best_value = candidate, value
+                    vv, vsv = float(candidate.dot(candidate)), s
+                    terms = (terms + step * grams[:, k]) / norm
+                    zv, zsv = terms.tolist()
                     continue
         stale += 1
         if stale >= _REFINE_HALVE_AFTER:
             step *= 0.5
             stale = 0
 
-    frame = StiefelFrame(
-        v=best_v.reshape(1, n), b=np.array([p.mu - float(best_v @ q.nu)])
-    )
+    frame = StiefelFrame(best_v.reshape(1, n), np.array([p.mu - float(best_v @ q.nu)]))
     return ProjectionSearchResult(
         best_frame=frame,
         best_value=best_value,

@@ -58,10 +58,11 @@ def _load_distribution(arg: str):
     try:
         if arg == "-":
             text = sys.stdin.read()
+            text.encode("utf-8")  # a C locale decodes bad bytes to lone surrogates
         else:
             with open(arg, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         source = "standard input" if arg == "-" else arg
         raise DivBoundsError(f"{source} is not UTF-8 text: {exc}") from exc
     return distribution_from_json(text)

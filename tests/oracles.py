@@ -537,6 +537,28 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     )
 
 
+def mean_matched_kl(p, q, v) -> np.ndarray:
+    """The projection search's draw stage scored exhaustively.
+
+    ``kl_gaussian_1d`` from p to the pushforward along each unit row of
+    ``v``, offset so the means match (a mean mismatch only adds to it),
+    as an array expression: with s = v^T Sigma v the Rayleigh quotient and
+    r = sigma^2 / s it is (1/2)(r - 1 - log r), log r taken from the two
+    logs where r is 0 or subnormal; a ratio that overflows gives inf. The
+    search itself ranks rows by a key monotone in this value and scores
+    only the winner; the tests replay its draw stage with this function.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.einsum("...i,ij,...j->...", v, q.sigma, v)
+        r = p.sigma2 / s
+        log_r = np.log(r)
+        tiny = r < sys.float_info.min
+        if tiny.any():
+            log_r[tiny] = math.log(p.sigma2) - np.log(s[tiny])
+        kl = 0.5 * (r - 1.0 - log_r)
+    return np.where(r == np.inf, np.inf, np.maximum(kl, 0.0))
+
+
 def refine_projection_per_step(p, q, v, value, perturbations):
     """The projection search's refinement as a per-step vector loop.
 
@@ -575,7 +597,11 @@ def refine_projection_per_step(p, q, v, value, perturbations):
 # --- projection searches frozen bit for bit ------------------------------
 # search_projection_divergence(p, q, "kl", budget, seed) on a tridiagonal
 # covariance, as the search returned them (numpy 2.4, x86-64) before its
-# refinement scored steps through the scalar KL kernel: each row is
+# refinement scored steps through the scalar KL kernel, except the n = 7,
+# budget 1000 row, re-frozen when the draw stage began to rank rows by
+# row sums and score the winner from its own vector (its value moved by
+# 2.5e-11 relative, after the checks of
+# ``test_refinement_against_per_step_reference`` passed): each row is
 # ((mu, sigma2, nu, diagonal, off-diagonal, budget, seed), best_value,
 # the frame's row v, its offset b, (witness mu, witness sigma2)), every
 # float as float.hex(). n runs from 2 to 8, with sigma^2 inside, below
@@ -619,10 +645,10 @@ FROZEN_SEARCHES = (
     ),
     (
         (-0.75, 2.5, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5], [0.25, 0.25, -0.25, 0.25, -0.25, 0.25], 1000, 19),
-        "0x1.2ff912e2c0000p-32",
-        ["-0x1.8ea49208f86cbp-4", "-0x1.2f4e8587fd92cp-4", "0x1.9c902e7c53e32p-2", "-0x1.5fbcccd6eb20dp-2", "-0x1.7974f812cc1f6p-1", "-0x1.3bdc0af7c414cp-3", "0x1.7ba4e8617caabp-2"],
-        "-0x1.42c81d7ab1b0fp+0",
-        ("-0x1.8000000000000p-1", "0x1.3ffd469f66fc2p+1"),
+        "0x1.2ff912e2e0000p-32",
+        ["-0x1.8ea49208f86c9p-4", "-0x1.2f4e8587fd92bp-4", "0x1.9c902e7c53e32p-2", "-0x1.5fbcccd6eb20dp-2", "-0x1.7974f812cc1f5p-1", "-0x1.3bdc0af7c414cp-3", "0x1.7ba4e8617caabp-2"],
+        "-0x1.42c81d7ab1b10p+0",
+        ("-0x1.8000000000000p-1", "0x1.3ffd469f66fc1p+1"),
     ),
     (
         (1.25, 0.02, [0.5, 0.0, -0.5, 1.0, 0.0, -1.0, 0.25, 0.0], [0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], [0.05, -0.125, 0.25, 0.5, -1.0, 2.0, 4.0], 1000, 23),

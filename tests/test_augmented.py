@@ -121,6 +121,12 @@ class TestSampleStiefel:
             sample_stiefel(1, 3, seed=-1)
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -5$"):
             sample_stiefel(2, 3, seed=np.int64(-5))
+        # a number that is not an integer, not numpy's SeedSequence TypeError
+        shown = {1.5: "1.5", 2.0: "2.0", np.float64(0.5): r"np\.float64\(0\.5\)"}
+        for seed, text in shown.items():
+            message = f"^seed must be an integer, got {text}$"
+            with pytest.raises(DomainError, match=message):
+                sample_stiefel(1, 3, seed=seed)
 
     def test_other_seeds_default_rng_accepts(self):
         # None, a Generator, a SeedSequence, a numpy integer and a sequence
@@ -239,33 +245,40 @@ class TestSearchProjectionDivergence:
         assert result.witness == pushforward_gaussian(q3, result.best_frame)
 
     def test_refinement_against_per_step_reference(self):
-        # the screened refinement against the per-step loop it replaced,
-        # over spectra up to e^+-12 with sigma^2 inside, below and above:
-        # never below the closed form, within 1e-8 of the reference (a step
-        # that improves by less than rounding may be taken on one side
-        # only), and the value is the returned frame's own quotient's KL
+        # the ranked draw stage and the screened refinement against the
+        # exhaustive draw stage and the per-step loop they replaced, over
+        # spectra up to e^+-12 with sigma^2 inside, below and above, and
+        # over isotropic covariances c I, where every drawn row ties (with
+        # sigma^2 below or above c: at c every KL is a squared rounding
+        # error): never below the closed form, within 1e-8 of the reference
+        # (a row or a step that wins by less than rounding may be taken on
+        # one side only), and the value is the returned frame's own
+        # quotient's KL. Budget 9000 crosses a draw block
         rng = np.random.default_rng(2024)
         for trial in range(300):
             n = int(rng.integers(2, 9))
-            eigs = np.sort(np.exp(rng.uniform(-12.0, 12.0, size=n)))
-            q = GaussianND(
-                nu=rng.normal(size=n), sigma=oracles.random_spd_matrix(n, eigs, rng)
-            )
+            isotropic = trial % 5 == 4
+            if isotropic:
+                sigma = math.exp(rng.uniform(-12.0, 12.0)) * np.eye(n)
+            else:
+                eigs = np.sort(np.exp(rng.uniform(-12.0, 12.0, size=n)))
+                sigma = oracles.random_spd_matrix(n, eigs, rng)
+            q = GaussianND(nu=rng.normal(size=n), sigma=sigma)
             zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
             sigma2 = (
                 math.exp(rng.uniform(math.log(zeta_min), math.log(zeta_max))),
                 zeta_min * math.exp(-rng.uniform(0.01, 12.0)),
                 zeta_max * math.exp(rng.uniform(0.01, 12.0)),
-            )[trial % 3]
+            )[1 + trial % 2 if isotropic else trial % 3]
             p = Gaussian1D(mu=float(rng.normal()), sigma2=sigma2)
-            budget = int(rng.choice([1, 20, 200]))
+            budget = int(rng.choice([1, 20, 200, 1000, 9000]))
             seed = int(rng.integers(2**31))
             result = search_projection_divergence(p, q, "kl", budget=budget, seed=seed)
 
             draws = np.random.default_rng(seed)
             frames = draws.standard_normal((budget, n))
             frames /= np.linalg.norm(frames, axis=1, keepdims=True)
-            values = augmented._mean_matched_kl(p, q, frames)
+            values = oracles.mean_matched_kl(p, q, frames)
             best = int(np.argmin(values))
             want, _ = oracles.refine_projection_per_step(
                 p, q, frames[best], float(values[best]), draws.standard_normal((100, n))
@@ -273,9 +286,12 @@ class TestSearchProjectionDivergence:
             assert result.best_value >= gaussian_akl(p, q)
             assert abs(result.best_value - want) <= 1e-8 * want
 
+            # the own quotient leaves the spectrum by rounding only, and is
+            # scored at the end it left by
             v = result.best_frame.v[0]
             s = float(np.einsum("i,ij,j->", v, q.sigma, v))
-            own = kl_gaussian_1d(p, Gaussian1D(p.mu, s))
+            assert zeta_min * (1 - 1e-15) <= s <= zeta_max * (1 + 1e-15)
+            own = kl_gaussian_1d(p, Gaussian1D(p.mu, min(max(s, zeta_min), zeta_max)))
             assert abs(own - result.best_value) <= 4 * math.ulp(result.best_value)
 
     @pytest.mark.parametrize(
@@ -342,37 +358,54 @@ class TestSearchProjectionDivergence:
         assert np.array_equal(a.best_frame.v, b.best_frame.v)
 
     def test_draw_phase_monotone_in_budget(self, q3, monkeypatch):
-        # the drawn frames are the leading rows of one normal matrix, scored
+        # the drawn frames are the leading rows of one normal matrix, ranked
         # in blocks, so a larger budget extends the same rows (9000 crosses
         # a block boundary) and the pre-refinement minimum is exactly
         # monotone; the refined value can wobble within its convergence
-        # tolerance
+        # tolerance. The generator's draws are recorded, and a search with
+        # no refinement steps returns the draw stage's own best frame
         p = Gaussian1D(mu=0.0, sigma2=0.25)
         blocks = []
-        real_kl = augmented._mean_matched_kl
+        real_rng = np.random.default_rng
 
-        def recording_kl(p_, q_, v):
-            if v.ndim == 2:
-                blocks.append(v.copy())
-            return real_kl(p_, q_, v)
+        class Recording:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
 
-        monkeypatch.setattr(augmented, "_mean_matched_kl", recording_kl)
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                blocks.append(out.copy())
+                return out
+
+        def kl_at(v):
+            return kl_gaussian_1d(p, Gaussian1D(0.0, float(v @ q3.sigma @ v)))
+
         budgets = (50, 1000, 9000)
-        full, draws = [], []
+        full, draws, drawn_best = [], [], []
         for budget in budgets:
-            blocks.clear()
-            result = search_projection_divergence(p, q3, "kl", budget=budget, seed=3)
-            full.append(result.best_value)
+            full.append(search_projection_divergence(p, q3, "kl", budget, 3).best_value)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", Recording)
+                patch.setattr(augmented, "_REFINE_STEPS", 0)
+                blocks.clear()
+                drawn_best.append(search_projection_divergence(p, q3, "kl", budget, 3))
+            assert blocks.pop().shape == (0, 3)
             draws.append(np.concatenate(blocks))
         assert [len(rows) for rows in draws] == list(budgets)
+        assert [len(b) for b in blocks] == [8192, 808]
         for short, long in zip(draws, draws[1:]):
             assert np.array_equal(short, long[: len(short)])
-        assert np.allclose(np.linalg.norm(draws[-1], axis=1), 1.0, atol=1e-15)
-        draw_min = [
-            min(kl_gaussian_1d(p, Gaussian1D(0.0, float(v @ q3.sigma @ v))) for v in vs)
-            for vs in draws
-        ]
+        units = draws[-1] / np.linalg.norm(draws[-1], axis=1, keepdims=True)
+        draw_min = [min(map(kl_at, units[:budget])) for budget in budgets]
         assert all(a >= b for a, b in zip(draw_min, draw_min[1:]))
+        # the draw stage takes a drawn row, normalized, and its minimum
+        for result, rows, want in zip(drawn_best, draws, draw_min):
+            v = result.best_frame.v[0]
+            assert np.allclose(np.linalg.norm(v), 1.0, atol=1e-15)
+            assert np.min(np.linalg.norm(units[: len(rows)] - v, axis=1)) <= 1e-15
+            assert result.best_value == pytest.approx(want, rel=1e-14)
+        stage = [result.best_value for result in drawn_best]
+        assert all(a >= b for a, b in zip(stage, stage[1:]))
         assert all(f <= d + 1e-15 for f, d in zip(full, draw_min))
         assert all(a >= b - 1e-6 for a, b in zip(full, full[1:]))
 
@@ -393,7 +426,7 @@ class TestSearchProjectionDivergence:
         assert akl == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
         assert akl <= result.best_value <= akl * (1.0 + 1e-9)
         # the drawn blocks are scored the same way as the refinement steps
-        blocks = augmented._mean_matched_kl(p, q, np.eye(2))
+        blocks = oracles.mean_matched_kl(p, q, np.eye(2))
         singles = [kl_gaussian_1d(p, Gaussian1D(0.0, s)) for s in (1e200, 2e200)]
         assert blocks == pytest.approx(singles, rel=1e-15)
 
@@ -412,6 +445,20 @@ class TestSearchProjectionDivergence:
             search_projection_divergence(p, q3, "kl", budget=0, seed=0)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             search_projection_divergence(p, q3, "kl", budget=10, seed=-1)
+        # a count or seed that is not an integer, not a TypeError from range
+        # or numpy's SeedSequence
+        for budget, seed, message in (
+            (1000.0, 1, "budget must be an integer, got 1000.0"),
+            ("10", 1, "budget must be an integer, got '10'"),
+            (10, 1.5, "seed must be an integer, got 1.5"),
+            (10, None, "seed must be an integer, got None"),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                search_projection_divergence(p, q3, "kl", budget=budget, seed=seed)
+        result = search_projection_divergence(
+            p, q3, "kl", budget=np.int64(10), seed=np.int32(1)
+        )
+        assert result.n_samples == 110
 
     def test_json_serialization(self, q3):
         p = Gaussian1D(mu=0.0, sigma2=0.25)

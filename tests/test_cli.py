@@ -389,6 +389,24 @@ def test_input_that_is_not_utf8_is_one_error_line(capsys, monkeypatch, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_stdin_that_is_not_utf8_under_the_c_locale_is_one_error_line():
+    # the C locale (UTF-8 mode off) reads standard input with
+    # surrogateescape: bad bytes arrive as lone surrogates, not as a
+    # decoding error, and must still be named as an encoding error
+    package_root = str(Path(divbounds.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divbounds", "divergence", "--p", "-", "--q", Q_DISC,
+         "--convention", "sup"],
+        input=b"\xff\xfe", capture_output=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    lines = proc.stderr.decode("ascii", "replace").splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("divbounds: error: standard input is not UTF-8 text: ")
+
+
 def test_unknown_command_exits_one(capsys):
     assert run_cli(capsys, "nosuchcommand")[0] == 1
 
@@ -679,6 +697,14 @@ def test_pinsker_loads_neither_augmented_nor_oracle():
     assert "divbounds.augmented" not in loaded
     assert "divbounds.oracle" not in loaded
     assert "numpy" not in loaded
+
+
+def test_verify_does_not_load_the_augmented_module():
+    # the projection search runs in gaussian-akl only; verify's start-up and
+    # timing do not depend on it
+    statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = _loaded_after(statement, "verify", "--trials", "10")
+    assert "divbounds.augmented" not in loaded
 
 
 _NUMPY_FREE_COMMANDS = {
