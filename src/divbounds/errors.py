@@ -1,5 +1,7 @@
 """Semantic exception hierarchy for the package."""
 
+import operator
+
 
 class DivBoundsError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,3 +28,14 @@ class QuadratureError(DivBoundsError, RuntimeError):
     def __init__(self, message: str, achieved_error: float):
         super().__init__(message)
         self.achieved_error = achieved_error
+
+
+def _integer(name: str, value, least: int) -> int:
+    # a float or string count or seed is a DomainError, not a TypeError
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .measures import DiscreteDistribution, TvConvention
 from .measures import density_bounds_discrete, kl_discrete, tv_discrete
 from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
@@ -177,10 +177,7 @@ def fuzz_sandwich(n_trials: int, seed: int) -> FuzzReport:
     drawn and checked in blocks of arrays. Violations are collected, not
     raised; the expected count is zero.
     """
-    if n_trials < 1:
-        raise DomainError(f"n_trials must be >= 1, got {n_trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    n_trials, seed = _integer("n_trials", n_trials, 1), _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     violations = []
     margins = [None, None, None]
@@ -254,10 +251,7 @@ def run_verify(trials: int, seed: int, step: float, gap_tol: float):
     FuzzReport whose violations it writes to stderr. ``trials``, ``seed``,
     ``step`` and ``gap_tol`` are checked before any stage runs.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    trials, seed = _integer("trials", trials, 1), _integer("seed", seed, 0)
     check_grid_step(step)
     if not 0 < gap_tol < math.inf:
         raise DomainError(f"gap_tol must be positive and finite, got {gap_tol}")

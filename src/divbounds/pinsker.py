@@ -19,10 +19,15 @@ on the SUP reading of delta, and half of U on the other) and pinned here
 as ``PINNED_TV_CONVENTION``. A test checks it against an exhaustive
 binary-grid scan of D_KL <= U, kept in the test suite as an oracle.
 
-numpy is imported only by the batched checker ``check_sandwich_rows``,
-and ``augmented`` only by ``check_sandwich_augmented``. The discrete
-kernels of ``measures`` are ``math`` loops, so the scalar bounds and
-``check_sandwich_same_dim`` load neither.
+``check_sandwich_same_dim`` holds every edge rule of the discrete chain.
+The batched ``check_sandwich_rows`` computes only plain rows as arrays:
+both sums within PROB_SUM_TOL of 1, no negative or nan entry, p
+absolutely continuous w.r.t. q, 0 < m < 1 < M, a finite U and delta
+within ``convert_tv``'s range. It hands each other row to the scalar
+checker (tens of us a row) and raises its error as ``row i: <message>``.
+numpy is imported only by that checker, and ``augmented`` only by
+``check_sandwich_augmented``; the discrete kernels of ``measures`` are
+``math`` loops.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import AbsoluteContinuityError, DomainError, InvalidDistributionError
+from .errors import DomainError
 from .measures import (
     PROB_SUM_TOL,
     DensityBounds,
@@ -203,77 +208,60 @@ def check_sandwich_same_dim(
 def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
     """``check_sandwich_same_dim`` for every row pair of two (n, k) arrays.
 
-    Row i of ``p`` and row i of ``q`` form one discrete pair. A pair on
-    fewer than k points is padded with zeros in both rows; padding changes
-    none of its quantities. Each row must pass DiscreteDistribution's
-    checks, and p absolutely continuous w.r.t. q with m > 0, as in the
-    scalar checker; a failing row raises the scalar checker's error, and a
-    ratio past the largest double makes M and U inf there too. As there, a
-    delta beyond delta_max() takes the curve at delta_max(). For k < 8,
-    poly equals the scalar value, KL agrees within ``kl_discrete``'s
-    contract (np.log rounds differently from math.log), the curve within
-    1e-14 relative from delta = 1e-40 up (below ~1e-57 the scalar curve
-    floors at 1.21e-116, the batched one is delta^2/2), and the upper bound
-    to a few ulps of the two phi values it subtracts (likewise for log1p).
+    Row i of ``p`` and row i of ``q`` form one discrete pair; zero padding
+    in both rows changes none of its quantities. Plain rows (see the module
+    docstring) are computed as arrays. On them, for k < 8, poly equals the
+    scalar value, KL agrees within ``kl_discrete``'s contract (np.log and
+    math.log round differently), the curve within 1e-14 relative from
+    delta = 1e-40 up (below ~1e-57 the scalar curve floors at 1.21e-116,
+    the batched one is delta^2/2), and U to a few ulps of the two phi
+    values it subtracts. Every other row is a scalar check, whose report
+    it takes bit for bit and whose error it raises as ``row i: <message>``
+    for the first row that fails.
     """
     import numpy as np
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    # row sums in the order of ``measures._sum``, which needs C order
+    p = np.ascontiguousarray(p, dtype=float)
+    q = np.ascontiguousarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] == 0:
         raise DomainError(
             f"need two (n, k) arrays of one shape, got {p.shape} and {q.shape}"
         )
-    for name, arr in (("p", p), ("q", q)):
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistributionError(f"{name}: probs must be finite")
-        if np.any(arr < 0):
-            raise InvalidDistributionError(f"{name}: negative probability")
-        with np.errstate(over="ignore"):  # an overflowed sum fails the check
-            totals = arr.sum(axis=1)
-        off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
-        if off.size:
-            raise InvalidDistributionError(
-                f"{name}: row {off[0]} sums to {float(totals[off[0]])}, not 1"
-            )
     support = q > 0
-    if np.any(p[~support] > 0):
-        raise AbsoluteContinuityError(
-            "p puts mass where q does not; relative density undefined"
-        )
-    with np.errstate(over="ignore"):  # an overflowed ratio makes M and U inf
+    with np.errstate(all="ignore"):  # rows that are not plain are redone below
         ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
-    m = np.where(support, ratio, np.inf).min(axis=1)
-    M = np.where(support, ratio, -np.inf).max(axis=1)
-    if np.any(m <= 0):
-        raise DomainError(
-            "reverse Pinsker needs a positive essential infimum, got m = 0"
+        m = np.where(support, ratio, np.inf).min(axis=1)
+        M = np.where(support, ratio, -np.inf).max(axis=1)
+        delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
+        upper = delta_sup * (_phi(M, np) - _phi(m, np))
+        plain = (
+            (np.abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
+            & (np.abs(q.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+            & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=1)
+            & (0 < m) & (m < 1) & (1 < M)
+            & np.isfinite(upper)  # not where M = inf or m - 1 rounds to -1
+            # sums at 1 + PROB_SUM_TOL can round delta past convert_tv's range
+            & (delta_sup <= 1.0 + 1e-12)
         )
-    delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
-    delta_var = 2.0 * delta_sup
-    # m = 1 or M = 1 forces identical measures, where U is 0
-    degenerate = (m == 1.0) | (M == 1.0)
-    if np.any(degenerate & (delta_sup != 0.0)):
-        raise DomainError(
-            "m = 1 or M = 1 forces identical measures, so delta must be 0"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upper = np.where(degenerate, 0.0, delta_sup * (_phi(M, np) - _phi(m, np)))
-    upper[~degenerate & (M == np.inf)] = np.inf
-    log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
-    # as in kl_discrete, an overflowed ratio takes its log as log p - log q
-    over = ratio == np.inf
-    log_ratio[over] = np.log(p[over]) - np.log(q[over])
-    divergence = (p * log_ratio).sum(axis=1)
+        log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+        divergence = (p * log_ratio).sum(axis=1)
     divergence = np.where(divergence > 0, divergence, 0.0)
+    delta_var = np.where(plain, 2.0 * delta_sup, 0.0)
     poly = _poly(delta_var)
     vajda = vajda_lower_bound_array(np.minimum(delta_var, delta_max()))
-    return SandwichRows(
-        poly_lb=poly,
-        vajda_lb=vajda,
-        divergence=divergence,
-        upper=upper,
-        all_hold=_chain_holds(poly, vajda, divergence, upper),
+    rows = SandwichRows(
+        poly, vajda, divergence, upper, _chain_holds(poly, vajda, divergence, upper)
     )
+    for i in np.flatnonzero(~plain):
+        try:
+            report = check_sandwich_same_dim(
+                DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
+            )
+        except ValueError as exc:
+            raise type(exc)(f"row {i}: {exc}") from None
+        for column, value in zip(rows, report):
+            column[i] = value
+    return rows
 
 
 def check_sandwich_augmented(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .measures import TvConvention, convert_tv
 from .optimize import bisect_increasing, golden_section_minimize
 from .serialize import dumps
@@ -325,8 +325,7 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
         raise DomainError(f"need t_min < t_max, got ({t_min}, {t_max})")
     if t_max > T_MAX:
         raise DomainError(f"t_max {t_max} exceeds {T_MAX}")
-    if n_points < 2:
-        raise DomainError(f"n_points must be >= 2, got {n_points}")
+    n_points = _integer("n_points", n_points, 2)
     points = [curve_at_parameter(t) for t in _log_grid(t_min, t_max, n_points)]
     for prev, cur in zip(points, points[1:]):
         if not cur.delta > prev.delta:

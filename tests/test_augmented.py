@@ -115,6 +115,11 @@ class TestSampleStiefel:
             sample_stiefel(3, 2, seed=0)
         with pytest.raises(DomainError):
             sample_stiefel(0, 2, seed=0)
+        # a float dimension, not numpy's TypeError
+        with pytest.raises(DomainError, match=r"^d must be an integer, got 1\.0$"):
+            sample_stiefel(1.0, 3, 0)
+        with pytest.raises(DomainError, match=r"^n must be an integer, got 3\.0$"):
+            sample_stiefel(1, 3.0, 0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
@@ -293,6 +298,38 @@ class TestSearchProjectionDivergence:
             assert zeta_min * (1 - 1e-15) <= s <= zeta_max * (1 + 1e-15)
             own = kl_gaussian_1d(p, Gaussian1D(p.mu, min(max(s, zeta_min), zeta_max)))
             assert abs(own - result.best_value) <= 4 * math.ulp(result.best_value)
+
+    def test_rotated_isotropic_spectra_fall_short_by_at_most_two_ulps(self):
+        # a rotated c I has a spectrum a few ulps wide, and the KL at a
+        # quotient inside it can round below the KL at its end: best_value
+        # and the witness's KL may fall below gaussian_akl, by 2 ulps at
+        # most (the worst of 12 000 such searches). The witness's variance
+        # is clamped to the spectrum, as the scored quotient is
+        rng = np.random.default_rng(31)
+        clamped = 0
+        for trial in range(600):
+            n = int(rng.integers(2, 9))
+            c = math.exp(rng.uniform(-5.0, 5.0))
+            q = GaussianND(
+                nu=rng.normal(size=n),
+                sigma=oracles.random_spd_matrix(n, np.full(n, c), rng),
+            )
+            zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+            factor = math.exp(rng.uniform(0.01, 5.0))
+            sigma2 = zeta_min / factor if trial % 2 else zeta_max * factor
+            p = Gaussian1D(mu=float(rng.normal()), sigma2=sigma2)
+            budget = int(rng.choice([1, 20, 200]))
+            result = search_projection_divergence(
+                p, q, "kl", budget=budget, seed=int(rng.integers(2**31))
+            )
+            akl = gaussian_akl(p, q)
+            assert result.best_value >= akl - 2 * math.ulp(akl)
+            assert kl_gaussian_1d(p, result.witness) >= akl - 2 * math.ulp(akl)
+            assert zeta_min <= result.witness.sigma2 <= zeta_max
+            raw = pushforward_gaussian(q, result.best_frame)
+            assert result.witness.mu == raw.mu
+            clamped += result.witness != raw
+        assert clamped > 0
 
     @pytest.mark.parametrize(
         "row", oracles.FROZEN_SEARCHES, ids=lambda r: f"n{len(r[0][2])}-budget{r[0][5]}"

@@ -100,6 +100,11 @@ class TestFuzzSandwich:
             fuzz_sandwich(0, seed=1)
         with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
             fuzz_sandwich(10, seed=-1)
+        # a float count or seed, not range's or SeedSequence's TypeError
+        with pytest.raises(DomainError, match=r"^n_trials must be an integer, got 10\.0$"):
+            fuzz_sandwich(10.0, 1)
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 1\.5$"):
+            fuzz_sandwich(10, 1.5)
 
     def test_no_violations_small_run(self):
         report = fuzz_sandwich(2000, seed=123)
@@ -128,6 +133,19 @@ class TestFuzzSandwich:
         report = fuzz_sandwich(150, seed=3)
         assert sizes == [(64, 6), (64, 6), (22, 6)]
         assert report.ok
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_drawn_rows_never_reach_the_scalar_checker(self, monkeypatch, seed):
+        # every drawn row is plain, so the whole fuzz stays in the array kernel
+        calls = []
+
+        def spy(p, q):
+            calls.append((p, q))
+            return check_sandwich_same_dim(p, q)
+
+        monkeypatch.setattr(pinsker, "check_sandwich_same_dim", spy)
+        assert fuzz_sandwich(20_000, seed=seed).ok
+        assert calls == []
 
     def test_a_block_draws_every_support_size(self):
         k, p, q = oracle._draw_block(np.random.default_rng(0), 8192)
@@ -312,6 +330,10 @@ class TestRunVerify:
             oracle.run_verify(50, seed=1, step=1e-9, gap_tol=oracle.VERIFY_GAP_TOL)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             oracle.run_verify(50, seed=-1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
+        with pytest.raises(DomainError, match=r"^trials must be an integer, got 10\.5$"):
+            oracle.run_verify(10.5, 1, 0.01, 5e-3)
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 1\.5$"):
+            oracle.run_verify(50, 1.5, 0.01, 5e-3)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_checks_the_trials_before_any_stage(self, failing_stages, trials):

@@ -28,7 +28,9 @@ from divbounds import (
     reverse_pinsker,
     tv_discrete,
 )
-from divbounds.pinsker import check_sandwich_rows
+from divbounds.measures import PROB_SUM_TOL
+from divbounds import pinsker
+from divbounds.pinsker import SandwichRows, check_sandwich_rows
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -200,6 +202,73 @@ def padded_rows(rng, n, width):
     return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
 
 
+def sum_edge_rows(seed):
+    """A pair on 2n points whose sums pass PROB_SUM_TOL at its top edge.
+
+    p holds its mass on the first n points and 2**-53 of q's on the rest,
+    and q the mirror image, so 2**-54 < m < 1 < M < inf. Each row is
+    shrunk by ulps until its sum passes, then raised ulp by ulp at random
+    points while it still does; 0.5 sum|p - q| can then round past
+    1 + 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(32, 65))
+    a, b = rng.exponential(size=(2, n))
+    a *= (1.0 + 1e-12) / a.sum()
+    b *= (1.0 + 1e-12) / b.sum()
+    p = np.concatenate([a, b * 2.0**-53])
+    q = np.concatenate([a * 2.0**-53, b])
+    for row, big in ((p, slice(0, n)), (q, slice(n, 2 * n))):
+        while abs(row.sum() - 1.0) > PROB_SUM_TOL:
+            row[big] *= 1.0 - 2.0**-52
+        for j in big.start + rng.integers(n, size=4 * n):
+            row[j] = np.nextafter(row[j], 2.0)
+            if abs(row.sum() - 1.0) > PROB_SUM_TOL:
+                row[j] = np.nextafter(row[j], 0.0)
+    return p.tolist(), q.tolist()
+
+
+def edge_total(side):
+    """The double farthest from 1 on ``side`` whose sum passes PROB_SUM_TOL."""
+    total = 1.0 + side * PROB_SUM_TOL
+    while abs(total - 1.0) > PROB_SUM_TOL:
+        total = math.nextafter(total, 1.0)
+    return total
+
+
+TOP, BOTTOM = edge_total(+1), edge_total(-1)
+# single rows of every kind, as (p, q, plain); 0.25 + (x - 0.25) sums to x
+AGREEMENT_ROWS = {
+    "plain": ([0.75, 0.25], [0.5, 0.5], True),
+    "plain-padded": ([0.3, 0.0, 0.7, 0.0], [0.6, 0.0, 0.4, 0.0], True),
+    "past-curve-range": ([0.9999, 0.0001], [0.0001, 0.9999], True),
+    "identical": ([0.5, 0.5], [0.5, 0.5], False),
+    "identical-padded": ([0.2, 0.3, 0.5, 0.0], [0.2, 0.3, 0.5, 0.0], False),
+    "overflowing-ratio": ([0.5, 0.5], [5e-324, 1.0], False),
+    "overflowing-ratio-m-1": ([0.5, 0.5, 1e-13], [0.5, 0.5, 5e-324], False),
+    "m-1-positive-delta": ([0.5, 0.5 + 1e-13], [0.5, 0.5 - 1e-13], False),
+    "sum-at-plus-tol": ([0.25, TOP - 0.25], [0.6, 0.4], True),
+    "sum-at-minus-tol": ([0.25, BOTTOM - 0.25], [0.6, 0.4], True),
+    "q-sum-at-plus-tol": ([0.6, 0.4], [0.25, TOP - 0.25], True),
+    "q-sum-at-minus-tol": ([0.6, 0.4], [0.25, BOTTOM - 0.25], True),
+    "sum-past-plus-tol": ([0.25, math.nextafter(TOP, 2.0) - 0.25], [0.6, 0.4], False),
+    "sum-past-minus-tol": ([0.25, math.nextafter(BOTTOM, 0.0) - 0.25], [0.6, 0.4], False),
+    "nan": ([float("nan"), 1.0], [0.5, 0.5], False),
+    "q-nan": ([0.5, 0.5], [0.5, float("nan")], False),
+    "negative": ([1.5, -0.5], [0.5, 0.5], False),
+    "q-negative": ([0.5, 0.5], [1.5, -0.5], False),
+    "sum-overflows": ([1e308, 1e308], [0.5, 0.5], False),
+    "not-absolutely-continuous": ([0.5, 0.5], [1.0, 0.0], False),
+    "m-0": ([1.0, 0.0], [0.5, 0.5], False),
+    "density-bounds-both-above-1": (
+        [0.5 + 3e-13, 0.5 + 3e-13], [0.5 - 3e-13, 0.5 - 3e-13], False
+    ),
+    # m - 1 rounds to -1, where the scalar phi fails
+    "m-below-2**-54": ([1e-20, 1.0 - 1e-20], [0.5, 0.5], False),
+    "delta-past-1+1e-12": (*sum_edge_rows(31), False),
+}
+
+
 class TestSandwichRows:
     def test_rows_match_scalar_checker(self):
         k, p, q = padded_rows(np.random.default_rng(11), 3000, 6)
@@ -294,11 +363,112 @@ class TestSandwichRows:
         with pytest.raises(DomainError, match="identical measures"):
             check_sandwich_rows(np.array([p]), np.array([q]))
 
+    @pytest.mark.parametrize("kind", AGREEMENT_ROWS)
+    def test_each_kind_of_row_agrees_with_the_scalar_checker(self, kind, monkeypatch):
+        # the rows checker raises type(e)("row 0: " + str(e)) exactly when
+        # the scalar checker raises e; plain rows stay in the array kernel
+        # and agree within the tolerances of test_rows_match_scalar_checker,
+        # the rest go through the scalar checker and agree bit for bit
+        a, b, plain = AGREEMENT_ROWS[kind]
+        calls = []
+
+        def spy(p, q):
+            calls.append((p, q))
+            return check_sandwich_same_dim(p, q)
+
+        monkeypatch.setattr(pinsker, "check_sandwich_same_dim", spy)
+        try:
+            want = check_sandwich_same_dim(DiscreteDistribution(a), DiscreteDistribution(b))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as caught:
+                check_sandwich_rows(np.array([a]), np.array([b]))
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == f"row 0: {exc}"
+            assert not plain
+            return
+        got = check_sandwich_rows(np.array([a]), np.array([b])).report(0)
+        assert len(calls) == (0 if plain else 1)
+        if not plain:
+            assert got == want
+            return
+        assert (got.poly_lb, got.all_hold) == (want.poly_lb, want.all_hold)
+        assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
+        pa, qa = DiscreteDistribution(a), DiscreteDistribution(b)
+        db = density_bounds_discrete(pa, qa)
+        scale = tv_discrete(pa, qa, SUP) * (
+            oracles.phi_ratio_weight(db.M) + oracles.phi_ratio_weight(db.m)
+        )
+        eps = np.finfo(float).eps
+        assert abs(got.divergence - want.divergence) <= 8 * eps * scale
+        assert abs(got.upper - want.upper) <= 8 * eps * scale
+
+    def test_the_edge_rows_test_what_they_name(self):
+        # the sum rows sit on either side of the tolerance, and the last row
+        # passes both sum checks while its delta passes convert_tv's range
+        assert abs(TOP - 1.0) <= PROB_SUM_TOL < abs(math.nextafter(TOP, 2.0) - 1.0)
+        assert abs(BOTTOM - 1.0) <= PROB_SUM_TOL < abs(math.nextafter(BOTTOM, 0.0) - 1.0)
+        for kind, total in (
+            ("sum-at-plus-tol", TOP),
+            ("sum-at-minus-tol", BOTTOM),
+            ("sum-past-plus-tol", math.nextafter(TOP, 2.0)),
+            ("sum-past-minus-tol", math.nextafter(BOTTOM, 0.0)),
+        ):
+            assert np.sum(AGREEMENT_ROWS[kind][0]) == total
+        assert np.sum(AGREEMENT_ROWS["q-sum-at-plus-tol"][1]) == TOP
+        assert np.sum(AGREEMENT_ROWS["q-sum-at-minus-tol"][1]) == BOTTOM
+        a, b, _ = AGREEMENT_ROWS["delta-past-1+1e-12"]
+        pa, qa = DiscreteDistribution(a), DiscreteDistribution(b)
+        db = density_bounds_discrete(pa, qa)
+        assert 2.0**-54 < db.m < 1.0 < db.M < math.inf
+        assert tv_discrete(pa, qa, SUP) > 1.0 + 1e-12
+
+    def test_rows_of_every_kind_in_one_batch(self):
+        # accepted rows of every kind mixed with drawn plain rows: each row
+        # is the scalar checker's report, the fallback rows bit for bit
+        k, p, q = padded_rows(np.random.default_rng(5), 200, 4)
+        kinds = ("identical", "identical-padded", "overflowing-ratio")
+        accepted = [AGREEMENT_ROWS[kind][:2] for kind in kinds]
+        rows = np.random.default_rng(6).choice(len(k), size=len(accepted), replace=False)
+        for i, (a, b) in zip(rows, accepted):
+            p[i], q[i] = 0.0, 0.0
+            p[i, : len(a)], q[i, : len(b)] = a, b
+        got = check_sandwich_rows(p, q)
+        for i, (a, b) in zip(rows, accepted):
+            assert got.report(i) == check_sandwich_same_dim(disc(*a), disc(*b))
+        for i in set(range(len(k))) - set(rows):
+            want = check_sandwich_same_dim(disc(*p[i, : k[i]]), disc(*q[i, : k[i]]))
+            assert got.report(i).divergence == pytest.approx(want.divergence, rel=1e-12)
+            assert got.report(i).all_hold == want.all_hold
+
+    def test_first_bad_row_wins(self):
+        # row 0 is not absolutely continuous, row 1 sums to 1.1: the
+        # scalar checker's error for row 0 is raised, not row 1's
+        p = np.array([[0.5, 0.5], [0.5, 0.6]])
+        q = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(AbsoluteContinuityError) as caught:
+            check_sandwich_rows(p, q)
+        assert str(caught.value) == (
+            "row 0: p puts mass where q does not; relative density undefined"
+        )
+        # a bad row after an accepted fallback row keeps its own index
+        p = np.array([[0.5, 0.5], [0.75, 0.25], [1.0, 0.0]])
+        q = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError, match="^row 2: reverse Pinsker needs"):
+            check_sandwich_rows(p, q)
+
+    def test_fortran_ordered_input_gives_the_c_ordered_result(self):
+        # numpy sums the rows of a Fortran-ordered array in another order
+        k, p, q = padded_rows(np.random.default_rng(8), 500, 20)
+        want = check_sandwich_rows(p, q)
+        got = check_sandwich_rows(np.asfortranarray(p), q.T.copy().T)
+        for name in SandwichRows._fields:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     @pytest.mark.parametrize("row, total", [([0.5, 0.6], "1.1"), ([1e308, 1e308], "inf")])
     def test_bad_row_total_prints_as_a_plain_float(self, row, total):
         with pytest.raises(InvalidDistributionError) as caught:
             check_sandwich_rows(np.array([row]), np.array([[0.5, 0.5]]))
-        assert str(caught.value) == f"p: row 0 sums to {total}, not 1"
+        assert str(caught.value) == f"row 0: probabilities sum to {total}, not 1"
 
 
 class TestSandwichAugmented:

@@ -347,7 +347,15 @@ class TestInvertPolyBound:
 
 class TestEmitCurve:
     @pytest.mark.parametrize(
-        "args", [(1.0, 1.0, 2), (0.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1), (1.0, 600.0, 10)]
+        "args",
+        [
+            (1.0, 1.0, 2),
+            (0.0, 1.0, 10),
+            (1.0, 0.5, 10),
+            (0.1, 1.0, 1),
+            (1.0, 600.0, 10),
+            (0.1, 1.0, 5.0),  # a float count, not range's TypeError
+        ],
     )
     def test_invalid_grids_rejected(self, args):
         with pytest.raises(DomainError):
