@@ -32,9 +32,7 @@ _MODULE_EXPORTS = {
         "distribution_from_json", "kl_discrete", "kl_gaussian_1d", "tv_discrete",
         "tv_gaussian_1d",
     ),
-    "oracle": (
-        "FuzzReport", "binary_min_kl", "fuzz_sandwich", "resolve_tv_convention",
-    ),
+    "oracle": ("FuzzReport", "fuzz_sandwich", "resolve_tv_convention"),
     "pinsker": (
         "PINNED_TV_CONVENTION", "AugmentedDensityBounds", "SandwichReport",
         "augmented_upper_bound", "check_sandwich_augmented",

@@ -256,8 +256,7 @@ def _cmd_sandwich(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import oracle
-    gap_tol = oracle.VERIFY_GAP_TOL if args.gap_tol is None else args.gap_tol
-    summary, fuzz = oracle.run_verify(args.trials, args.seed, args.step, gap_tol)
+    summary, fuzz = oracle.run_verify(args.trials, args.seed)
     print(dumps(summary))
     if not fuzz.ok:
         print(fuzz.to_json_lines(), file=sys.stderr)
@@ -326,16 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--atv", type=float, default=None)
     s.set_defaults(func=_cmd_sandwich)
 
-    s = sub.add_parser("verify", help="run the full brute-force oracle suite")
+    s = sub.add_parser("verify", help="fuzz both bounds and check them where attained")
     s.add_argument("--trials", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--step", type=float, default=1e-3)
-    s.add_argument(
-        "--gap-tol",
-        type=float,
-        default=None,
-        help="allowed excess of the grid minimum over the lower bound",
-    )
     s.set_defaults(func=_cmd_verify)
 
     return parser

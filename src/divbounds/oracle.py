@@ -1,11 +1,11 @@
-"""Brute-force ground truth on small discrete spaces.
+"""Ground truth for both bounds on small discrete spaces.
 
-An exhaustive grid over binary probability vectors validates the optimal
-lower-bound curve from below: two-point measures attain it, so larger
-supports need no scan. Random pairs on 2..VERIFY_MAX_SUPPORT points
-check the whole bound chain. The TV scale the reverse Pinsker bound
-consumes is settled by the pairs that attain it; an exhaustive grid scan
-of KL <= U is a test oracle. ``run_verify`` is ``divbounds verify``.
+Both bounds are optimal, and two-point pairs attain each: at such a pair
+KL equals the bound up to rounding. Those pairs settle the TV scale the
+reverse Pinsker bound consumes and show that the lower-bound curve is
+attained; random pairs on 2..VERIFY_MAX_SUPPORT points check the whole
+bound chain. Exhaustive binary-grid scans of both bounds are test
+oracles. ``run_verify`` is ``divbounds verify``.
 """
 
 import math
@@ -13,90 +13,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _integer
+from .errors import _integer
 from .measures import DiscreteDistribution, TvConvention
 from .measures import density_bounds_discrete, kl_discrete, tv_discrete
 from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
 from .serialize import dumps
-from .vajda import vajda_lower_bound
+from .vajda import curve_point_for_delta
 
-# `divbounds verify`: the variational TV values at which it compares the
-# binary-grid minimum with the curve, the excess of the minimum it allows,
-# the shortfall it forgives (rounding in the grid KL and in the curve), and
-# the largest support its fuzz stage draws
+# `divbounds verify`: the variational TV values at which it checks that the
+# lower bound is attained, and the largest support its fuzz stage draws
 VERIFY_DELTAS = (0.2, 0.5, 0.9, 1.3, 1.7)
-VERIFY_GAP_TOL = 5e-3
-VERIFY_GAP_FLOOR = -1e-9
 VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
-# the finest grid step the binary-grid minimum accepts: it forms up to
-# 6 / step candidate pairs (54 000 at 1e-4), so far finer steps exhaust
-# memory, and VERIFY_GAP_TOL needs no finer grid
-MIN_GRID_STEP = 1e-4
 # the density bounds (m, M) of the pairs that settle the TV convention, and
-# how far U may fall from KL there, relative: kl_discrete's contract allows
-# 2.9e-13 on these pairs, the TV and phi a few ulps; 1e-9 miscalings fail
+# how far a bound may fall from KL at the pairs that attain it, relative:
+# kl_discrete's contract allows 2.9e-13 on these pairs, the TV, phi and the
+# curve a few ulps; 1e-9 miscalings fail
 _ATTAINING_BOUNDS = tuple(
     (m, M) for m in (1e-3, 0.01, 0.1, 0.5, 0.9) for M in (1.1, 2.0, 10.0, 100.0, 1e3)
 )
 ATTAINMENT_REL_TOL = 1e-12
-
-
-def check_grid_step(step: float) -> None:
-    """Raise unless ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so
-    the grid holds both ends of each probability."""
-    if not MIN_GRID_STEP <= step <= 0.5:
-        raise DomainError(f"step must lie in [{MIN_GRID_STEP}, 0.5], got {step}")
-    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
-        raise DomainError(f"step {step} does not divide 1")
-
-
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # elementwise p log(p/q) with 0 log 0 = 0 and +inf where p > 0, q = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
-    return terms
-
-
-def binary_min_kl(delta: float, step: float) -> float:
-    """Exhaustive minimum of KL over binary grid pairs near a TV value.
-
-    Minimizes kl(p, q) over the ordered pairs p = (i step, 1 - i step),
-    q = (j step, 1 - j step) whose variational TV lies within ``step`` of
-    ``delta``. Two-point pairs attain the optimal lower bound, so no
-    larger support gets closer to the curve. Pairs violating absolute
-    continuity contribute +inf and never achieve the minimum. Raises if
-    no pair is feasible.
-
-    A pair with offset r = j - i has variational TV 2|r| step up to a few
-    ulps, so only the offsets whose TV lies in the band around ``delta``,
-    one more on each side, can be feasible: those alone are formed, and
-    the float TV test and the KL are applied to them as to every pair.
-    """
-    check_grid_step(step)
-    if not 0 <= delta <= 2:
-        raise DomainError(f"delta must lie in [0, 2], got {delta}")
-    n = round(1.0 / step)
-    # point i of the grid is (axis[i], axis[n - i]): both exactly on-grid
-    axis = np.linspace(0.0, 1.0, n + 1)
-    lo = max(0, math.ceil((delta - step) / (2 * step)) - 1)
-    hi = min(n, math.floor((delta + step) / (2 * step)) + 1)
-    offsets = np.arange(lo, hi + 1)
-    offsets = np.concatenate([-offsets[offsets > 0], offsets])
-    j = np.arange(n + 1)[:, None] + offsets
-    i, col = np.nonzero((j >= 0) & (j <= n))
-    j = j[i, col]
-    p0, p1, q0, q1 = axis[i], axis[n - i], axis[j], axis[n - j]
-    tv_var = np.abs(p0 - q0)
-    tv_var += np.abs(p1 - q1)
-    tv_var -= delta
-    feasible = np.abs(tv_var) <= step
-    if not feasible.any():
-        raise DomainError(f"no grid pair has variational TV within {step} of {delta}")
-    kl = _kl_terms(p0[feasible], q0[feasible]) + _kl_terms(p1[feasible], q1[feasible])
-    return float(kl.min())
 
 
 class SandwichViolation(NamedTuple):
@@ -231,33 +169,39 @@ def resolve_tv_convention() -> TvConvention | None:
     return None
 
 
-def verify_tightness(step: float, gap_tol: float) -> list:
-    """Rows of `divbounds verify` comparing grid minimum and curve at each
-    of VERIFY_DELTAS; a row is ok for a gap in [VERIFY_GAP_FLOOR, gap_tol]."""
+def verify_tightness() -> list:
+    """Rows of `divbounds verify` showing that the lower bound is attained.
+
+    At each of VERIFY_DELTAS, with t and L from ``curve_point_for_delta``
+    and c = coth t - 1/t, the pair Q = ((1 - c)/2, (1 + c)/2), P = Q +
+    (delta(t)/2, -delta(t)/2) has variational TV delta(t) and KL L(t)
+    (Fedotov, Harremoes and Topsoe 2003). A row is ok when that KL is
+    within ATTAINMENT_REL_TOL of L, relative.
+    """
     rows = []
     for delta in VERIFY_DELTAS:
-        minimum = binary_min_kl(delta, step)
-        lb = vajda_lower_bound(delta)
-        gap = minimum - lb
-        ok = VERIFY_GAP_FLOOR <= gap <= gap_tol
-        rows.append(dict(delta=delta, oracle_min=minimum, vajda_lb=lb, gap=gap, ok=ok))
+        point = curve_point_for_delta(delta)
+        c = 1.0 / math.tanh(point.t) - 1.0 / point.t
+        q0, q1, h = (1.0 - c) / 2.0, (1.0 + c) / 2.0, point.delta / 2.0
+        p, q = DiscreteDistribution([q0 + h, q1 - h]), DiscreteDistribution([q0, q1])
+        kl, lb = kl_discrete(p, q), point.l_value
+        gap = (kl - lb) / lb
+        ok = abs(gap) <= ATTAINMENT_REL_TOL
+        rows.append(dict(delta=delta, witness_kl=kl, vajda_lb=lb, rel_gap=gap, ok=ok))
     return rows
 
 
-def run_verify(trials: int, seed: int, step: float, gap_tol: float):
+def run_verify(trials: int, seed: int):
     """The `divbounds verify` workflow: convention, fuzz, tightness.
 
     Returns (summary, fuzz): the object the command prints, and the
-    FuzzReport whose violations it writes to stderr. ``trials``, ``seed``,
-    ``step`` and ``gap_tol`` are checked before any stage runs.
+    FuzzReport whose violations it writes to stderr. ``trials`` and
+    ``seed`` are checked before any stage runs.
     """
     trials, seed = _integer("trials", trials, 1), _integer("seed", seed, 0)
-    check_grid_step(step)
-    if not 0 < gap_tol < math.inf:
-        raise DomainError(f"gap_tol must be positive and finite, got {gap_tol}")
     convention = resolve_tv_convention()
     fuzz = fuzz_sandwich(trials, seed)
-    tightness = verify_tightness(step, gap_tol)
+    tightness = verify_tightness()
     matches = convention is PINNED_TV_CONVENTION
     summary = {
         "convention": None if convention is None else convention.value,

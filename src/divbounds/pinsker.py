@@ -139,9 +139,9 @@ def _sandwich_report(
 
 
 def _phi(x, xp=math):
-    # x log(x) / (x - 1); log1p keeps it stable as x approaches 1. ``xp`` is
-    # math for floats and numpy for arrays.
-    return x * xp.log1p(x - 1.0) / (x - 1.0)
+    # x log(x) / (x - 1); x - 1 is exact near 1, and log x is finite for
+    # every positive double. ``xp`` is math for floats and numpy for arrays.
+    return x * xp.log(x) / (x - 1.0)
 
 
 def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:
@@ -239,7 +239,7 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
             & (np.abs(q.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
             & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=1)
             & (0 < m) & (m < 1) & (1 < M)
-            & np.isfinite(upper)  # not where M = inf or m - 1 rounds to -1
+            & np.isfinite(upper)  # not where M = inf
             # sums at 1 + PROB_SUM_TOL can round delta past convert_tv's range
             & (delta_sup <= 1.0 + 1e-12)
         )

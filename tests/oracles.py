@@ -6,7 +6,9 @@ values frozen below, from adaptive quadrature of |f_a - f_b| (the library's
 quadrature module, which no runtime path uses) and from Monte Carlo; the
 polynomial bound and the curve's power series come from exact rational
 arithmetic, and the curve constants were computed once at 50-digit
-precision and frozen. Two exceptions use a library kernel: the
+precision and frozen. An exhaustive binary-grid minimum of KL near a TV
+value checks the lower-bound curve from below, apart from the closed-form
+pairs that ``divbounds verify`` shows attaining it. Two exceptions use a library kernel: the
 projection search's per-step refinement, frozen below as the reference
 for its screened form, scores with the library's ``kl_gaussian_1d``,
 whose own tests use the mpmath values here; and the exhaustive TV
@@ -22,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from divbounds.errors import DomainError
 from divbounds.measures import TvConvention
-from divbounds.oracle import check_grid_step
 from divbounds.pinsker import _phi
 from divbounds.quadrature import integrate_adaptive
 
@@ -468,6 +470,68 @@ def random_spd_matrix(n: int, eigenvalues, rng) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+# the finest grid step the binary-grid scans accept: the minimum forms up
+# to 6 / step candidate pairs (54 000 at 1e-4), so far finer steps exhaust
+# memory
+MIN_GRID_STEP = 1e-4
+
+
+def check_grid_step(step: float) -> None:
+    """Raise unless ``step`` lies in [MIN_GRID_STEP, 0.5] and divides 1, so
+    the grid holds both ends of each probability."""
+    if not MIN_GRID_STEP <= step <= 0.5:
+        raise DomainError(f"step must lie in [{MIN_GRID_STEP}, 0.5], got {step}")
+    if abs(round(1.0 / step) * step - 1.0) > 1e-9:
+        raise DomainError(f"step {step} does not divide 1")
+
+
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # elementwise p log(p/q) with 0 log 0 = 0 and +inf where p > 0, q = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
+    return terms
+
+
+def binary_min_kl(delta: float, step: float) -> float:
+    """Exhaustive minimum of KL over binary grid pairs near a TV value.
+
+    The independent check of the optimal lower bound from below: it
+    minimizes kl(p, q) over the ordered pairs p = (i step, 1 - i step),
+    q = (j step, 1 - j step) whose variational TV lies within ``step`` of
+    ``delta``. Two-point pairs attain the optimal lower bound, so no
+    larger support gets closer to the curve. Pairs violating absolute
+    continuity contribute +inf and never achieve the minimum. Raises if
+    no pair is feasible.
+
+    A pair with offset r = j - i has variational TV 2|r| step up to a few
+    ulps, so only the offsets whose TV lies in the band around ``delta``,
+    one more on each side, can be feasible: those alone are formed, and
+    the float TV test and the KL are applied to them as to every pair.
+    """
+    check_grid_step(step)
+    if not 0 <= delta <= 2:
+        raise DomainError(f"delta must lie in [0, 2], got {delta}")
+    n = round(1.0 / step)
+    # point i of the grid is (axis[i], axis[n - i]): both exactly on-grid
+    axis = np.linspace(0.0, 1.0, n + 1)
+    lo = max(0, math.ceil((delta - step) / (2 * step)) - 1)
+    hi = min(n, math.floor((delta + step) / (2 * step)) + 1)
+    offsets = np.arange(lo, hi + 1)
+    offsets = np.concatenate([-offsets[offsets > 0], offsets])
+    j = np.arange(n + 1)[:, None] + offsets
+    i, col = np.nonzero((j >= 0) & (j <= n))
+    j = j[i, col]
+    p0, p1, q0, q1 = axis[i], axis[n - i], axis[j], axis[n - j]
+    tv_var = np.abs(p0 - q0)
+    tv_var += np.abs(p1 - q1)
+    tv_var -= delta
+    feasible = np.abs(tv_var) <= step
+    if not feasible.any():
+        raise DomainError(f"no grid pair has variational TV within {step} of {delta}")
+    kl = _kl_terms(p0[feasible], q0[feasible]) + _kl_terms(p1[feasible], q1[feasible])
+    return float(kl.min())
+
+
 def binary_grid(step: float) -> np.ndarray:
     """The points (i step, 1 - i step) of the binary grid, one per row,
     with both coordinates taken from one axis so each is exactly on-grid."""
@@ -506,7 +570,7 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     KL <= U holds at every strictly positive binary pair on the grid with
     delta read as SUP, that convention is returned; otherwise VARIATIONAL
     is tried; if neither holds, the implementation is broken and an error
-    is raised. ``step`` must pass ``oracle.check_grid_step``.
+    is raised. ``step`` must pass ``check_grid_step``.
     """
     check_grid_step(step)
     n = round(1.0 / step)

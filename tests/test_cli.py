@@ -248,6 +248,29 @@ def test_sandwich_on_an_overflowing_density_ratio(capsys):
     assert json.loads(out)["kl"] == payload["divergence"]
 
 
+def test_sandwich_with_a_density_bound_below_2_to_the_minus_54(capsys):
+    # m = 2e-20, where m - 1 rounds to -1 and log1p(m - 1) is a math domain
+    # error; the pair attains U, so U equals KL
+    p = '{"type":"discrete","probs":[1e-20, 1.0]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", p, "--q", Q_DISC)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert math.isfinite(payload["upper"])
+    assert payload["upper"] == pytest.approx(payload["divergence"], rel=1e-15)
+    assert payload["all_hold"] is True
+
+
+def test_reverse_pinsker_with_a_density_bound_below_2_to_the_minus_54(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "reverse-pinsker",
+        "--delta", "0.1", "--convention", "sup", "--m", "1e-20", "--M", "2",
+    )
+    assert (code, err) == (0, "")
+    want = 0.1 * (oracles.phi_ratio_weight(2.0) - oracles.phi_ratio_weight(1e-20))
+    assert json.loads(out)["upper"] == pytest.approx(want, rel=1e-15)
+
+
 def test_sandwich_augmented_with_estimated_atv(capsys):
     argv = (
         "sandwich",
@@ -433,9 +456,7 @@ def test_bad_domain_exits_one(capsys):
 
 
 def test_verify_small_run(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--trials", "300", "--seed", "1", "--step", "0.01"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--trials", "300", "--seed", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_ok"] is True
@@ -446,26 +467,31 @@ def test_verify_small_run(capsys):
     assert len(payload["tightness"]) == 5
 
 
-def test_verify_failure_exits_two(capsys):
-    # an unmeetable tightness tolerance flips the summary and the exit code
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "--trials", "50", "--seed", "1", "--step", "0.01",
-        "--gap-tol", "1e-12",
-    )
-    assert code == 2
-    assert json.loads(out)["all_ok"] is False
+def test_verify_failure_exits_two(capsys, monkeypatch):
+    # L(t) off by 1e-9 either way misses the KL of the pair that attains
+    # it, which flips every tightness row, the summary and the exit code
+    from divbounds import vajda
+
+    l_at = vajda._l_at
+    for scale in (1 + 1e-9, 1 - 1e-9):
+        monkeypatch.setattr(vajda, "_l_at", lambda t: scale * l_at(t))
+        code, out, err = run_cli(capsys, "verify", "--trials", "50", "--seed", "1")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["all_ok"] is False
+        assert not any(row["ok"] for row in payload["tightness"])
+        assert "Traceback" not in err
 
 
 # the stdout of `divbounds verify --trials 10000 --seed 1`, frozen byte for
 # byte: a rewrite of any stage must leave it unchanged
 VERIFY_SEED1_STDOUT = (
     '{"convention":"sup","convention_matches_pinned":true,"fuzz":{"trials":10000,"max_support":6,"seed":1,"violations":0},"tightness":['
-    '{"delta":0.2,"oracle_min":0.02004469567663804,"vajda_lb":0.02004468315795296,"gap":1.2518685078150016e-08,"ok":true},'
-    '{"delta":0.5,"oracle_min":0.1267967006354879,"vajda_lb":0.1267966535063854,"gap":4.712910250947999e-08,"ok":true},'
-    '{"delta":0.9,"oracle_min":0.4255281605239188,"vajda_lb":0.42552811843870686,"gap":4.208521192650139e-08,"ok":true},'
-    '{"delta":1.3,"oracle_min":0.9503876102746189,"vajda_lb":0.950387258162676,"gap":3.521119429361619e-07,"ok":true},'
-    '{"delta":1.7,"oracle_min":1.8905692981966078,"vajda_lb":1.890569270350521,"gap":2.7846086769756084e-08,"ok":true}],"all_ok":true}\n'
+    '{"delta":0.2,"witness_kl":0.02004468315795291,"vajda_lb":0.02004468315795296,"rel_gap":-2.5962847039892503e-15,"ok":true},'
+    '{"delta":0.5,"witness_kl":0.1267966535063854,"vajda_lb":0.1267966535063854,"rel_gap":0.0,"ok":true},'
+    '{"delta":0.9,"witness_kl":0.4255281184387063,"vajda_lb":0.42552811843870686,"rel_gap":-1.3045236924631966e-15,"ok":true},'
+    '{"delta":1.3,"witness_kl":0.9503872581626758,"vajda_lb":0.950387258162676,"rel_gap":-2.336359236910396e-16,"ok":true},'
+    '{"delta":1.7,"witness_kl":1.8905692703505201,"vajda_lb":1.890569270350521,"rel_gap":-4.697941692109766e-16,"ok":true}],"all_ok":true}\n'
 )
 
 
@@ -482,7 +508,7 @@ def test_verify_with_a_broken_upper_bound_exits_two(capsys, monkeypatch):
 
     phi = oracle._phi
     monkeypatch.setattr(oracle, "_phi", lambda x, *xp: (1 + 1e-9) * phi(x, *xp))
-    code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", "0.01")
+    code, out, err = run_cli(capsys, "verify", "--trials", "50")
     assert code == 2
     assert len(out.splitlines()) == 1
     payload = json.loads(out)
@@ -493,12 +519,13 @@ def test_verify_with_a_broken_upper_bound_exits_two(capsys, monkeypatch):
 
 
 def test_verify_rejects_bad_tolerance(capsys):
-    # nan would fail every tightness row, inf would pass every one
-    for gap_tol in ("-1", "nan", "inf"):
+    # the tightness rows use the attainment tolerance, so verify has no
+    # --gap-tol: any value is a usage error before a stage runs
+    for gap_tol in ("-1", "nan", "inf", "1e-12"):
         code, out, err = run_cli(capsys, "verify", "--trials", "50", "--gap-tol", gap_tol)
         assert (code, out) == (1, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("divbounds: error: gap_tol must be positive and finite")
+        assert f"unrecognized arguments: --gap-tol {gap_tol}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -517,12 +544,13 @@ def test_negative_seed_is_input_error(capsys, argv):
 
 @pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3", "1e-9"])
 def test_verify_rejects_bad_step_before_running(capsys, step):
-    # the step is checked before any stage runs; below the floor the
-    # tightness grid would exhaust memory
+    # the tightness rows use the pairs that attain the curve, not a grid,
+    # so verify has no --step: any value is a usage error before a stage runs
     code, out, err = run_cli(capsys, "verify", "--trials", "50", "--step", step)
     assert code == 1
     assert out == ""
-    assert err.startswith("divbounds: error: step")
+    assert f"unrecognized arguments: --step {step}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -615,7 +643,7 @@ _JSON_COMMANDS = {
         "--m1", "0.1", "--M1", "20", "--m2", "0.1", "--M2", "20",
         "--convention", "sup",
     ],
-    "verify": ["verify", "--trials", "50", "--seed", "1", "--step", "0.01"],
+    "verify": ["verify", "--trials", "50", "--seed", "1"],
 }
 
 

@@ -8,7 +8,6 @@ from divbounds import (
     DomainError,
     PINNED_TV_CONVENTION,
     TvConvention,
-    binary_min_kl,
     density_bounds_discrete,
     fuzz_sandwich,
     kl_discrete,
@@ -17,11 +16,14 @@ from divbounds import (
     tv_discrete,
     vajda_lower_bound,
 )
-from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker
-from divbounds.oracle import SandwichViolation, check_grid_step
+from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker, vajda
+from divbounds.oracle import SandwichViolation
 from divbounds.pinsker import SandwichReport
+from oracles import binary_min_kl, check_grid_step
 
 
+# the binary-grid minimum is the test suite's independent check of the
+# lower bound from below; it lives in tests/oracles.py
 class TestCheckGridStep:
     @pytest.mark.parametrize("step", [0.0, 0.7, 2.0, -0.1, float("nan"), 0.3, 1e-5, 1e-9])
     def test_validation(self, step):
@@ -31,8 +33,8 @@ class TestCheckGridStep:
             binary_min_kl(0.5, step)
 
     def test_step_floor_is_accepted(self):
-        check_grid_step(oracle.MIN_GRID_STEP)
-        assert binary_min_kl(0.5, oracle.MIN_GRID_STEP) >= vajda_lower_bound(0.5) - 1e-9
+        check_grid_step(oracles.MIN_GRID_STEP)
+        assert binary_min_kl(0.5, oracles.MIN_GRID_STEP) >= vajda_lower_bound(0.5) - 1e-9
 
 
 class TestMinKlAtTv:
@@ -283,22 +285,37 @@ class TestResolveTvConvention:
 
 
 class TestRunVerify:
-    def test_rows_judge_the_gap_against_floor_and_tolerance(self):
-        rows = oracle.verify_tightness(step=0.01, gap_tol=oracle.VERIFY_GAP_TOL)
+    def test_rows_judge_the_witness_gap_against_the_attainment_tolerance(self):
+        rows = oracle.verify_tightness()
         assert [row["delta"] for row in rows] == list(oracle.VERIFY_DELTAS)
         for row in rows:
-            assert row["oracle_min"] == binary_min_kl(row["delta"], 0.01)
+            assert list(row) == ["delta", "witness_kl", "vajda_lb", "rel_gap", "ok"]
             assert row["vajda_lb"] == vajda_lower_bound(row["delta"])
-            assert row["gap"] == row["oracle_min"] - row["vajda_lb"]
-            assert row["ok"] is (
-                oracle.VERIFY_GAP_FLOOR <= row["gap"] <= oracle.VERIFY_GAP_TOL
-            )
-        smallest = min(row["gap"] for row in rows)
-        tight = oracle.verify_tightness(step=0.01, gap_tol=smallest)
-        assert [row["ok"] for row in tight] == [row["gap"] == smallest for row in rows]
+            assert row["rel_gap"] == (row["witness_kl"] - row["vajda_lb"]) / row["vajda_lb"]
+            assert row["ok"] is (abs(row["rel_gap"]) <= oracle.ATTAINMENT_REL_TOL)
+            assert row["ok"]
 
-    def test_report_is_the_verify_summary(self):
-        summary, fuzz = oracle.run_verify(300, 1, 0.01, oracle.VERIFY_GAP_TOL)
+    def test_the_witness_attains_the_curve_across_its_range(self, monkeypatch):
+        # each witness pair has variational TV delta(t), within a few ulps
+        # of delta, and KL L(t)
+        deltas = tuple(np.linspace(0.2, 1.7, 151).tolist())
+        pairs = []
+
+        def spy(p, q):
+            pairs.append((p, q))
+            return kl_discrete(p, q)
+
+        monkeypatch.setattr(oracle, "VERIFY_DELTAS", deltas)
+        monkeypatch.setattr(oracle, "kl_discrete", spy)
+        rows = oracle.verify_tightness()
+        assert [row["delta"] for row in rows] == list(deltas)
+        assert all(row["ok"] for row in rows)
+        for row, (p, q) in zip(rows, pairs):
+            tv = tv_discrete(p, q, TvConvention.VARIATIONAL)
+            assert tv == pytest.approx(row["delta"], rel=0.0, abs=2e-15)
+
+    def test_report_is_the_verify_summary(self, monkeypatch):
+        summary, fuzz = oracle.run_verify(300, 1)
         assert list(summary) == [
             "convention",
             "convention_matches_pinned",
@@ -311,7 +328,10 @@ class TestRunVerify:
         }
         assert summary["all_ok"] is True
         assert fuzz.ok
-        failing, _ = oracle.run_verify(50, seed=1, step=0.01, gap_tol=1e-12)
+        # a curve miscaled by 1e-9 misses the KL of the pairs that attain it
+        l_at = vajda._l_at
+        monkeypatch.setattr(vajda, "_l_at", lambda t: (1 + 1e-9) * l_at(t))
+        failing, _ = oracle.run_verify(50, seed=1)
         assert failing["all_ok"] is False
 
     @pytest.fixture
@@ -322,26 +342,15 @@ class TestRunVerify:
         for name in ("resolve_tv_convention", "fuzz_sandwich", "verify_tightness"):
             monkeypatch.setattr(oracle, name, stage)
 
-    def test_checks_the_step_before_any_stage(self, failing_stages):
-        with pytest.raises(DomainError, match="does not divide 1"):
-            oracle.run_verify(50, seed=1, step=0.3, gap_tol=oracle.VERIFY_GAP_TOL)
-        # below the floor the scans would exhaust memory
-        with pytest.raises(DomainError, match="step must lie in"):
-            oracle.run_verify(50, seed=1, step=1e-9, gap_tol=oracle.VERIFY_GAP_TOL)
+    def test_checks_the_seed_before_any_stage(self, failing_stages):
         with pytest.raises(DomainError, match="seed must be >= 0"):
-            oracle.run_verify(50, seed=-1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
+            oracle.run_verify(50, seed=-1)
         with pytest.raises(DomainError, match=r"^trials must be an integer, got 10\.5$"):
-            oracle.run_verify(10.5, 1, 0.01, 5e-3)
+            oracle.run_verify(10.5, 1)
         with pytest.raises(DomainError, match=r"^seed must be an integer, got 1\.5$"):
-            oracle.run_verify(50, 1.5, 0.01, 5e-3)
+            oracle.run_verify(50, 1.5)
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_checks_the_trials_before_any_stage(self, failing_stages, trials):
         with pytest.raises(DomainError, match="trials must be >= 1"):
-            oracle.run_verify(trials, seed=1, step=1e-3, gap_tol=oracle.VERIFY_GAP_TOL)
-
-    @pytest.mark.parametrize("gap_tol", [float("nan"), -1.0, 0.0, float("inf")])
-    def test_checks_the_gap_tolerance_before_any_stage(self, failing_stages, gap_tol):
-        # nan would fail every tightness row, inf would pass every one
-        with pytest.raises(DomainError, match="gap_tol must be positive and finite"):
-            oracle.run_verify(50, seed=1, step=1e-3, gap_tol=gap_tol)
+            oracle.run_verify(trials, seed=1)

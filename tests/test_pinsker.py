@@ -80,6 +80,22 @@ class TestReversePinsker:
             reverse_pinsker(delta, SUP, db), abs=1e-14
         )
 
+    def test_phi_against_mpmath(self):
+        # near 1 (where x - 1 is exact) and down to the smallest subnormal,
+        # on both backends: within 2 ulps, and finite for every m > 0
+        import mpmath
+
+        near = [1.0 + k * 2.0**-52 for k in (-8, -3, -1, 1, 2, 7)]
+        xs = near + [1.0 - 1e-8, 1.0 + 1e-8, 0.5, 2.0, 1e-20, 2.0**-54, 5e-324, 1e300]
+        with mpmath.workdps(40):
+            want = [
+                float(mpmath.mpf(x) * mpmath.log(x) / (mpmath.mpf(x) - 1)) for x in xs
+            ]
+        got = pinsker._phi(np.array(xs), np)
+        for x, w, g in zip(xs, want, got):
+            assert abs(pinsker._phi(x) - w) <= 2 * math.ulp(w), x
+            assert abs(g - w) <= 2 * math.ulp(w), x
+
     def test_zero_iff_delta_zero(self):
         bounds = DensityBounds(0.25, 3.0)
         assert reverse_pinsker(0.0, SUP, bounds) == 0.0
@@ -263,8 +279,8 @@ AGREEMENT_ROWS = {
     "density-bounds-both-above-1": (
         [0.5 + 3e-13, 0.5 + 3e-13], [0.5 - 3e-13, 0.5 - 3e-13], False
     ),
-    # m - 1 rounds to -1, where the scalar phi fails
-    "m-below-2**-54": ([1e-20, 1.0 - 1e-20], [0.5, 0.5], False),
+    # m - 1 rounds to -1, so phi must take log m, not log1p(m - 1)
+    "m-below-2**-54": ([1e-20, 1.0 - 1e-20], [0.5, 0.5], True),
     "delta-past-1+1e-12": (*sum_edge_rows(31), False),
 }
 
@@ -291,8 +307,8 @@ class TestSandwichRows:
             assert got.poly_lb == want.poly_lb
             assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
             assert got.all_hold == want.all_hold
-            # U subtracts two phi values; numpy's log1p may differ from
-            # math.log1p by an ulp of each. KL's terms are
+            # U subtracts two phi values; numpy's log may differ from
+            # math.log by an ulp of each. KL's terms are
             # |p_i - q_i| phi(p_i / q_i), and np.log may differ from math.log
             db = density_bounds_discrete(pi, qi)
             scale = tv_discrete(pi, qi, SUP) * (
