@@ -19,8 +19,9 @@ __version__ = "0.1.0"
 # submodule -> the names it exports
 _MODULE_EXPORTS = {
     "augmented": (
-        "ProjectionSearchResult", "StiefelFrame", "atv_gaussian", "gaussian_akl",
-        "pushforward_gaussian", "sample_stiefel", "search_projection_divergence",
+        "ProjectionSearchResult", "StiefelFrame", "atv_gaussian", "attaining_frame",
+        "gaussian_akl", "pushforward_gaussian", "sample_stiefel",
+        "search_projection_divergence",
     ),
     "errors": (
         "AbsoluteContinuityError", "DivBoundsError", "DomainError",

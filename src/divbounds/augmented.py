@@ -4,16 +4,8 @@ A 1-D measure is compared against an n-D one through orthonormal-row
 projections: every frame V (a row of the Stiefel manifold O(1, n)) and
 offset b pushes the n-D Gaussian forward to a 1-D Gaussian, and the
 infimum of the divergence over all such pushforwards is the augmented
-divergence. Any feasible frame therefore witnesses an upper estimate of
-it, which is what the Monte-Carlo search below produces: for a
-mean-matched pushforward along a unit row v the 1-D KL depends on v only
-through the Rayleigh quotient v^T Sigma v, so the search ranks a block of
-drawn rows by two BLAS row sums and scores only the winner, from its own
-vector. Along a refinement direction v + h z the quotient is a ratio of
-two quadratics in h, so each step is screened with float arithmetic on
-terms kept per frame and updated in place when a step is taken. Winners
-and steps are scored through one scalar Gaussian-KL kernel on plain
-floats, so the search builds no measure until its witness.
+divergence. For a mean-matched pushforward along a unit row v the 1-D
+divergence depends on v only through the Rayleigh quotient v^T Sigma v.
 
 For Gaussians the KL infimum has a closed form in the variance sigma^2 of
 the 1-D side and the extreme eigenvalues [zeta_min, zeta_max] of the n-D
@@ -23,7 +15,8 @@ sigma^2 exceeds the *largest* eigenvalue: stating it with the smallest
 (as sometimes printed) would contradict the zero branch for variances
 inside the range, and the variance-scan oracle in the test suite confirms
 the largest-eigenvalue form. The augmented TV has the same closed form,
-with the 1-D TV in place of the 1-D KL, and needs no search.
+with the 1-D TV in place of the 1-D KL. One frame, ``attaining_frame``,
+attains both; the Monte-Carlo search only estimates them from above.
 """
 
 import math
@@ -42,7 +35,6 @@ from .measures import (
     kl_gaussian_1d,
     tv_gaussian_1d,
 )
-from .serialize import dumps
 
 ORTHONORMALITY_TOL = 1e-10
 _REFINE_STEPS = 100
@@ -120,19 +112,6 @@ class ProjectionSearchResult(_Record):
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "witness", witness)
 
-    def to_json(self) -> str:
-        return dumps(
-            {
-                "best_frame": {
-                    "v": [[float(x) for x in row] for row in self.best_frame.v],
-                    "b": [float(x) for x in self.best_frame.b],
-                },
-                "best_value": self.best_value,
-                "n_samples": self.n_samples,
-                "witness": self.witness.to_json_dict(),
-            }
-        )
-
 
 def pushforward_gaussian(q: GaussianND, frame: StiefelFrame):
     """Image of an n-D Gaussian under the frame's affine map.
@@ -178,11 +157,19 @@ def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
 def _nearest_end(p: Gaussian1D, q: GaussianND):
     # q's mean-matched 1-D image at the eigenvalue end nearest sigma^2; None inside
     s = p.sigma2
-    zeta_min = float(q.eigenvalues[0])
-    zeta_max = float(q.eigenvalues[-1])
+    zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
     if zeta_min <= s <= zeta_max:
         return None
     return Gaussian1D(mu=p.mu, sigma2=zeta_min if s < zeta_min else zeta_max)
+
+
+def _witness(q: GaussianND, frame: StiefelFrame) -> Gaussian1D:
+    # the frame's 1-D image, its variance clamped into the spectrum against rounding
+    image = pushforward_gaussian(q, frame)
+    zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+    if not zeta_min <= image.sigma2 <= zeta_max:
+        image = Gaussian1D(image.mu, min(max(image.sigma2, zeta_min), zeta_max))
+    return image
 
 
 def gaussian_akl(p: Gaussian1D, q: GaussianND) -> float:
@@ -202,6 +189,34 @@ def gaussian_akl(p: Gaussian1D, q: GaussianND) -> float:
     """
     end = _nearest_end(p, q)
     return 0.0 if end is None else kl_gaussian_1d(p, end)
+
+
+def attaining_frame(p: Gaussian1D, q: GaussianND) -> StiefelFrame:
+    """The frame whose mean-matched pushforward attains AKL and ATV together.
+
+    From ``np.linalg.eigh(q.sigma)``, branching on the stored spectrum
+    [zeta_min, zeta_max]: outside it, the eigenvector of the end nearest
+    sigma^2; inside, sqrt(c) e_min + sqrt(1 - c) e_max, c = (zeta_max -
+    sigma^2) / (zeta_max - zeta_min), whose quotient is sigma^2; b = mu - v nu.
+
+    With the image's variance clamped into the spectrum (as the search's
+    witness is), zeta_t = sigma^2 clamped likewise, kappa = zeta_max /
+    zeta_t and m = |mu| + |v| |nu|, its KL minus akl lies in [-2 ulp(akl),
+    C eps (kappa |sigma^2 / zeta_t - 1| / 2 + akl) + (C eps kappa)^2 +
+    (eps m)^2 / zeta_t] with C = 10 (9.35 measured, 24 000 pairs, n <= 8),
+    and for kappa < 1e3 its TV is within ``GAUSS_TV_ABS_TOL`` +
+    eps m / sqrt(zeta_t) of ``atv_gaussian``.
+    """
+    zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+    vectors = np.linalg.eigh(q.sigma)[1]
+    if p.sigma2 <= zeta_min:  # ends here, so the last branch never divides by 0
+        v = vectors[:, 0]
+    elif p.sigma2 >= zeta_max:
+        v = vectors[:, -1]
+    else:
+        c = (zeta_max - p.sigma2) / (zeta_max - zeta_min)
+        v = math.sqrt(c) * vectors[:, 0] + math.sqrt(1.0 - c) * vectors[:, -1]
+    return StiefelFrame(v.reshape(1, -1), np.array([p.mu - float(v @ q.nu)]))
 
 
 def search_projection_divergence(
@@ -300,14 +315,11 @@ def search_projection_divergence(
             stale = 0
 
     frame = StiefelFrame(best_v.reshape(1, n), np.array([p.mu - float(best_v @ q.nu)]))
-    witness = pushforward_gaussian(q, frame)
-    if not zeta_min <= witness.sigma2 <= zeta_max:  # rounding, as in score
-        witness = Gaussian1D(witness.mu, min(max(witness.sigma2, zeta_min), zeta_max))
     return ProjectionSearchResult(
         best_frame=frame,
         best_value=best_value,
         n_samples=budget + _REFINE_STEPS,
-        witness=witness,
+        witness=_witness(q, frame),
     )
 
 

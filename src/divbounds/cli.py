@@ -172,11 +172,10 @@ def _cmd_reverse_pinsker(args) -> int:
         print(dumps({"upper": upper, "convention": args.convention.value}))
     else:
         need = "augmented mode needs all of --m1/--M1/--m2/--M2"
-        emb, proj = _augmented_bounds(args, True, need)
-        u1 = pinsker.reverse_pinsker(args.delta, args.convention, emb)
-        u2 = pinsker.reverse_pinsker(args.delta, args.convention, proj)
-        # the augmented bound is the larger one-sided bound
-        upper = max(u1, u2)
+        bounds = pinsker.AugmentedDensityBounds(*_augmented_bounds(args, True, need))
+        u1 = pinsker.reverse_pinsker(args.delta, args.convention, bounds.emb)
+        u2 = pinsker.reverse_pinsker(args.delta, args.convention, bounds.proj)
+        upper = pinsker.augmented_upper_bound(args.delta, args.convention, bounds)
         print(
             dumps(
                 {
@@ -207,16 +206,16 @@ def _cmd_gaussian_akl(args) -> int:
         raise DivBoundsError("gaussian-akl needs a gaussian1d --p and a gaussiannd --q")
     from . import augmented, vajda
     closed = augmented.gaussian_akl(p, q)
-    result = augmented.search_projection_divergence(
-        p, q, objective="kl", budget=args.budget, seed=args.seed
-    )
+    frame = augmented.attaining_frame(p, q)
+    witness_kl = kl_gaussian_1d(p, augmented._witness(q, frame))
     print(
         dumps(
             {
                 "akl": closed,
-                "search_value": result.best_value,
-                "search_gap": result.best_value - closed,
-                "n_samples": result.n_samples,
+                "v": frame.v[0].tolist(),
+                "b": float(frame.b[0]),
+                "witness_kl": witness_kl,
+                "witness_gap": witness_kl - closed,
                 "atv_upper_bound_variational": vajda.invert_poly_bound(closed),
             }
         )
@@ -229,22 +228,15 @@ def _cmd_sandwich(args) -> int:
     p = _load_distribution(args.p)
     q = _load_distribution(args.q)
     if isinstance(p, DiscreteDistribution) and isinstance(q, DiscreteDistribution):
-        unused = "discrete inputs take no --convention, --atv or --m1/--M1/--m2/--M2"
-        _augmented_bounds(args, False, unused)
-        if args.convention is not None or args.atv is not None:
-            raise DivBoundsError(unused)
+        _augmented_bounds(args, False, "discrete inputs take no --m1/--M1/--m2/--M2")
         report = pinsker.check_sandwich_same_dim(p, q)
     elif isinstance(p, Gaussian1D) and isinstance(q, GaussianND):
         need = "augmented sandwich needs all of --m1/--M1/--m2/--M2"
         bounds = pinsker.AugmentedDensityBounds(*_augmented_bounds(args, True, need))
-        if args.convention is None:
-            raise DivBoundsError("augmented sandwich needs --convention for the TV")
-        atv = args.atv
-        if atv is None:
-            from . import augmented
-            atv = augmented.atv_gaussian(p, q, args.convention)
+        from . import augmented
+        conv = TvConvention.SUP  # with atv_gaussian's ATV, either gives this report
         report = pinsker.check_sandwich_augmented(
-            p, q, bounds, atv=atv, conv=args.convention
+            p, q, bounds, atv=augmented.atv_gaussian(p, q, conv), conv=conv
         )
     else:
         raise DivBoundsError(
@@ -306,23 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_curve)
 
     s = sub.add_parser(
-        "gaussian-akl", help="closed-form augmented KL plus search cross-check"
+        "gaussian-akl", help="closed-form augmented KL and the frame that attains it"
     )
     s.add_argument("--p", required=True, help="gaussian1d JSON literal, path, or -")
     s.add_argument("--q", required=True, help="gaussiannd JSON literal, path, or -")
-    s.add_argument("--budget", type=int, default=1000)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_gaussian_akl)
 
     s = sub.add_parser("sandwich", help="two-sided bound report for a pair")
     s.add_argument("--p", required=True)
     s.add_argument("--q", required=True)
-    _add_convention_flag(s, required=False)
     s.add_argument("--m1", type=float, default=None)
     s.add_argument("--M1", type=float, default=None)
     s.add_argument("--m2", type=float, default=None)
     s.add_argument("--M2", type=float, default=None)
-    s.add_argument("--atv", type=float, default=None)
     s.set_defaults(func=_cmd_sandwich)
 
     s = sub.add_parser("verify", help="fuzz both bounds and check them where attained")

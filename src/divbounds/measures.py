@@ -13,11 +13,10 @@ discrete divergences are ``math`` loops over those tuples. Every sum adds
 in numpy's ``add.reduce`` order, so the constructor's checks, TV and the
 density bounds give the bits numpy's array forms gave; KL can differ in
 its last bits, as its contract states. numpy is imported only where an
-array is built or read: ``GaussianND``, ``DiscreteDistribution.probs``,
-a discrete input that is neither a list or tuple of numbers nor a float64
-vector (other arrays, nested lists, strings), and the repr in the
-"negative probability" error. So the discrete, Gaussian and TV-convention
-code loads without it.
+array is built or read: ``GaussianND``, ``DiscreteDistribution.probs``, a
+discrete input other than a list or tuple of plain numbers (any array,
+nested lists, strings), and the repr in the "negative probability"
+error. So the discrete, Gaussian and TV-convention code loads without it.
 
 The validating records here and in ``oracle`` and ``augmented`` derive
 from ``_Record``, an immutable ``__slots__`` class; results that only

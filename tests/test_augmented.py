@@ -1,5 +1,5 @@
-import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from divbounds import (
     StiefelFrame,
     TvConvention,
     atv_gaussian,
+    attaining_frame,
     augmented,
     gaussian_akl,
     kl_gaussian_1d,
@@ -20,6 +21,7 @@ from divbounds import (
     search_projection_divergence,
     tv_gaussian_1d,
 )
+from divbounds.measures import GAUSS_TV_ABS_TOL
 
 SUP = TvConvention.SUP
 
@@ -223,6 +225,88 @@ class TestGaussianAkl:
         plain = GaussianND(nu=np.zeros(4), sigma=np.diag([0.7, 1.1, 2.0, 5.0]))
         p = Gaussian1D(0.0, 0.3)
         assert gaussian_akl(p, q) == pytest.approx(gaussian_akl(p, plain), rel=1e-10)
+
+
+# attaining_frame's stated constant in its KL-gap bound
+FRAME_GAP_C = 10.0
+
+
+def _frame_pair(kind, rng):
+    # one (p, q) pair of the given kind of spectrum and position of sigma^2
+    n = 1 if kind == "n1" else int(rng.integers(2, 9))
+    if kind == "isotropic":
+        sigma = np.eye(n) * math.exp(rng.uniform(-3.0, 3.0))
+    elif kind == "few_ulps":  # a rotated c I
+        c = math.exp(rng.uniform(-3.0, 3.0))
+        sigma = oracles.random_spd_matrix(n, np.full(n, c), rng)
+    else:
+        eigs = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+        sigma = oracles.random_spd_matrix(n, eigs, rng) if n > 1 else np.diag(eigs)
+    scale = 10.0 ** rng.uniform(0.0, 6.0) if kind == "far_means" else 3.0
+    q = GaussianND(nu=scale * rng.normal(size=n), sigma=sigma)
+    zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+    near = 10.0 ** rng.uniform(-12.0, -3.0) * rng.choice([-1.0, 1.0])
+    sigma2 = {
+        "below": lambda: zeta_min * math.exp(-rng.uniform(1e-3, 5.0)),
+        "above": lambda: zeta_max * math.exp(rng.uniform(1e-3, 5.0)),
+        "inside": lambda: zeta_min + (zeta_max - zeta_min) * rng.uniform(),
+        "near_min": lambda: zeta_min * (1.0 + near),
+        "near_max": lambda: zeta_max * (1.0 + near),
+        "at_min": lambda: zeta_min,
+        "at_max": lambda: zeta_max,
+    }
+    # Sigma = c I, a few-ulps spectrum, n = 1 and far means take every position
+    position = kind if kind in sigma2 else list(sigma2)[int(rng.integers(len(sigma2)))]
+    return Gaussian1D(mu=scale / 3.0 * float(rng.normal()), sigma2=sigma2[position]()), q
+
+
+class TestAttainingFrame:
+    @pytest.mark.parametrize(
+        "kind",
+        ["below", "above", "inside", "near_min", "near_max", "at_min", "at_max",
+         "isotropic", "few_ulps", "n1", "far_means"],
+    )
+    def test_frame_attains_both_closed_forms(self, kind):
+        # each pair checks the frame, its TV and its KL gap against
+        # attaining_frame's stated contract: eigh's error, which scales with
+        # zeta_max, times the KL's slope in the variance; its second order
+        # where that slope vanishes; and the image's mean, which the
+        # rounding of mu - v nu and v nu + b puts up to about eps m from mu
+        rng = np.random.default_rng(list(map(ord, kind)))
+        eps = sys.float_info.epsilon
+        slack = FRAME_GAP_C * eps
+        for _ in range(150):
+            p, q = _frame_pair(kind, rng)
+            frame = attaining_frame(p, q)
+            assert isinstance(frame, StiefelFrame)
+            assert (frame.d, frame.n) == (1, q.dim)
+            witness = augmented._witness(q, frame)
+            zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+            zeta_t = min(max(p.sigma2, zeta_min), zeta_max)
+            kappa = zeta_max / zeta_t
+            m = abs(p.mu) + float(np.abs(frame.v[0]) @ np.abs(q.nu))
+            tv_error = tv_gaussian_1d(p, witness, SUP) - atv_gaussian(p, q, SUP)
+            assert abs(tv_error) <= GAUSS_TV_ABS_TOL + eps * m / math.sqrt(zeta_t)
+            akl = gaussian_akl(p, q)
+            gap = kl_gaussian_1d(p, witness) - akl
+            first = kappa * abs(p.sigma2 / zeta_t - 1.0) / 2.0 + akl
+            upper = slack * first + (slack * kappa) ** 2 + (eps * m) ** 2 / zeta_t
+            assert -2.0 * math.ulp(akl) <= gap <= upper
+
+    def test_diagonal_spectrum_gives_coordinate_rows(self, q3):
+        # below and above: the end's coordinate row; inside: the two end
+        # rows mixed so that the quotient is sigma^2; means matched
+        for sigma2, row in (
+            (0.25, [1.0, 0.0, 0.0]),
+            (9.0, [0.0, 0.0, 1.0]),
+            (3.0, [math.sqrt(1.0 / 3.0), 0.0, math.sqrt(2.0 / 3.0)]),
+        ):
+            p = Gaussian1D(mu=0.7, sigma2=sigma2)
+            frame = attaining_frame(p, q3)
+            assert np.abs(frame.v[0]) == pytest.approx(row, abs=1e-15)
+            witness = augmented._witness(q3, frame)
+            assert witness.mu == pytest.approx(0.7, abs=1e-15)
+            assert witness.sigma2 == pytest.approx(min(max(sigma2, 1.0), 4.0), rel=1e-15)
 
 
 class TestSearchProjectionDivergence:
@@ -496,15 +580,6 @@ class TestSearchProjectionDivergence:
             p, q3, "kl", budget=np.int64(10), seed=np.int32(1)
         )
         assert result.n_samples == 110
-
-    def test_json_serialization(self, q3):
-        p = Gaussian1D(mu=0.0, sigma2=0.25)
-        result = search_projection_divergence(p, q3, "kl", budget=20, seed=1)
-        payload = json.loads(result.to_json())
-        assert payload["n_samples"] == 120
-        assert payload["witness"]["type"] == "gaussian1d"
-        assert len(payload["best_frame"]["v"][0]) == 3
-        assert payload["best_value"] == result.best_value
 
 
 class TestAtvGaussian:

@@ -47,6 +47,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _assert_one_error(err, message):
+    # stderr is the message alone; a usage error prints the usage ahead of it
+    lines = err.splitlines()
+    assert lines[-1] == f"divbounds: error: {message}"
+    if message.startswith("unrecognized arguments"):
+        assert err.startswith("usage: divbounds")
+    else:
+        assert len(lines) == 1
+
+
 def test_divergence_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "divergence", "--p", P_DISC, "--q", Q_DISC, "--convention", "sup"
@@ -97,7 +107,7 @@ def test_divergence_extreme_variance_ratio(capsys, p_sigma2, q_sigma2, kl):
 
 
 def test_gaussian_akl_underflowing_variance_ratio(capsys):
-    # sigma^2 / zeta underflows: the closed form and the search stay finite
+    # sigma^2 / zeta underflows: the closed form and the frame's KL stay finite
     code, out, err = run_cli(
         capsys,
         "gaussian-akl", "--p", '{"type":"gaussian1d","mu":0,"sigma2":1e-200}',
@@ -106,7 +116,7 @@ def test_gaussian_akl_underflowing_variance_ratio(capsys):
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["akl"] == pytest.approx(oracles.KL_GAUSS_TINY_VS_HUGE, rel=1e-15)
-    assert 0.0 <= payload["search_gap"] <= 1e-6
+    assert payload["witness_gap"] == 0.0
 
 
 def test_divergence_mixed_types_is_input_error(capsys):
@@ -210,15 +220,25 @@ def test_curve_csv_and_json(capsys):
 
 
 def test_gaussian_akl_cross_check(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "gaussian-akl", "--p", P_G1, "--q", Q_G3, "--budget", "500", "--seed", "7",
-    )
+    argv = ("gaussian-akl", "--p", P_G1, "--q", Q_G3)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "akl", "v", "b", "witness_kl", "witness_gap", "atv_upper_bound_variational",
+    ]
     assert payload["akl"] == pytest.approx(oracles.KL_GAUSS_QUARTER_VS_UNIT, abs=1e-12)
-    assert payload["search_value"] >= payload["akl"] - 1e-12
-    assert payload["search_gap"] <= 1e-3
+    # sigma^2 lies below the diagonal spectrum: the frame is the first
+    # coordinate row, whose mean-matched image attains the closed form
+    assert [abs(x) for x in payload["v"]] == [1.0, 0.0, 0.0]
+    assert payload["b"] == 0.0
+    assert payload["witness_kl"] == payload["akl"]
+    assert payload["witness_gap"] == 0.0
+    # the frame is not drawn: the removed --budget/--seed are usage errors
+    for flag in ("--budget", "--seed"):
+        code, out, err = run_cli(capsys, *argv, flag, "5")
+        assert (code, out) == (1, "")
+        _assert_one_error(err, f"unrecognized arguments: {flag} 5")
 
 
 def test_sandwich_discrete(capsys):
@@ -276,7 +296,6 @@ def test_sandwich_augmented_with_estimated_atv(capsys):
         "sandwich",
         "--p", P_G1, "--q", Q_G3,
         "--m1", "0.1", "--M1", "20", "--m2", "0.1", "--M2", "20",
-        "--convention", "sup",
     )
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -291,33 +310,37 @@ def test_sandwich_augmented_with_estimated_atv(capsys):
     assert payload == json.loads(report.to_json())
     assert payload["all_hold"] is True
     assert payload["divergence"] == gaussian_akl(p, q)
-    # the removed --budget/--seed are usage errors
-    for flag in ("--budget", "--seed"):
-        code, _, err = run_cli(capsys, *argv, flag, "5")
-        assert code == 1
-        assert flag in err
+    # the ATV comes from atv_gaussian, whose report is the same in either
+    # convention: the removed --convention/--atv and --budget/--seed are
+    # usage errors
+    for flag, value in (("--convention", "sup"), ("--atv", "0.3"), ("--budget", "5"),
+                        ("--seed", "5")):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (1, "")
+        _assert_one_error(err, f"unrecognized arguments: {flag} {value}")
 
 
 def test_sandwich_augmented_missing_bounds_is_input_error(capsys):
-    code, _, err = run_cli(
-        capsys, "sandwich", "--p", P_G1, "--q", Q_G3, "--convention", "sup"
-    )
+    code, _, err = run_cli(capsys, "sandwich", "--p", P_G1, "--q", Q_G3)
     assert code == 1
     assert "m1" in err
 
 
-DISCRETE_IGNORES = "discrete inputs take no --convention, --atv or --m1/--M1/--m2/--M2"
+DISCRETE_IGNORES = "discrete inputs take no --m1/--M1/--m2/--M2"
 FOUR_BOUNDS = ["--m1", "0.5", "--M1", "2", "--m2", "0.25", "--M2", "4"]
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # sandwich has no --convention or --atv: a usage error
         (["sandwich", "--p", P_DISC, "--q", Q_DISC,
-          "--convention", "sup", "--m1", "0.1", "--atv", "0.3"], DISCRETE_IGNORES),
+          "--convention", "sup", "--m1", "0.1", "--atv", "0.3"],
+         "unrecognized arguments: --convention sup --atv 0.3"),
         (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--convention", "sup"],
-         DISCRETE_IGNORES),
-        (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--atv", "0.3"], DISCRETE_IGNORES),
+         "unrecognized arguments: --convention sup"),
+        (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--atv", "0.3"],
+         "unrecognized arguments: --atv 0.3"),
         (["sandwich", "--p", P_DISC, "--q", Q_DISC, "--M2", "4"], DISCRETE_IGNORES),
         (["sandwich", "--p", P_DISC, "--q", Q_DISC, *FOUR_BOUNDS], DISCRETE_IGNORES),
         (["poly", "--xi", "0.5", "--convention", "sup"],
@@ -329,7 +352,7 @@ FOUR_BOUNDS = ["--m1", "0.5", "--M1", "2", "--m2", "0.25", "--M2", "4"]
 def test_a_flag_the_mode_ignores_is_input_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err == f"divbounds: error: {message}\n"
+    _assert_one_error(err, message)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +368,6 @@ def test_a_flag_the_mode_ignores_is_input_error(capsys, argv, message):
          "augmented mode needs all of --m1/--M1/--m2/--M2"),
         (["sandwich", "--p", P_G1, "--q", Q_G3, *FOUR_BOUNDS[2:]],
          "augmented sandwich needs all of --m1/--M1/--m2/--M2"),
-        (["sandwich", "--p", P_G1, "--q", Q_G3, *FOUR_BOUNDS],
-         "augmented sandwich needs --convention for the TV"),
     ],
 )
 def test_density_bound_flags_are_all_or_none(capsys, argv, message):
@@ -529,17 +550,19 @@ def test_verify_rejects_bad_tolerance(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--trials", "50", "--seed", "-1"],
-        ["gaussian-akl", "--p", P_G1, "--q", Q_G3, "--budget", "50", "--seed", "-1"],
+        (["verify", "--trials", "50", "--seed", "-1"], "seed must be >= 0, got -1"),
+        # gaussian-akl draws nothing and takes no seed: a usage error
+        (["gaussian-akl", "--p", P_G1, "--q", Q_G3, "--seed", "-1"],
+         "unrecognized arguments: --seed -1"),
     ],
     ids=["verify", "gaussian-akl"],
 )
-def test_negative_seed_is_input_error(capsys, argv):
+def test_negative_seed_is_input_error(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["divbounds: error: seed must be >= 0, got -1"]
+    _assert_one_error(err, message)
 
 
 @pytest.mark.parametrize("step", ["0", "2", "-0.1", "nan", "0.3", "1e-9"])
@@ -636,12 +659,11 @@ _JSON_COMMANDS = {
         "curve", "--t-min", "0.01", "--t-max", "20", "--points", "10",
         "--format", "json",
     ],
-    "gaussian_akl": ["gaussian-akl", "--p", P_G1, "--q", Q_G3, "--budget", "500"],
+    "gaussian_akl": ["gaussian-akl", "--p", P_G1, "--q", Q_G3],
     "sandwich_discrete": ["sandwich", "--p", P_DISC, "--q", Q_DISC],
     "sandwich_augmented": [
         "sandwich", "--p", P_G1, "--q", Q_G3,
         "--m1", "0.1", "--M1", "20", "--m2", "0.1", "--M2", "20",
-        "--convention", "sup",
     ],
     "verify": ["verify", "--trials", "50", "--seed", "1"],
 }
@@ -728,8 +750,8 @@ def test_pinsker_loads_neither_augmented_nor_oracle():
 
 
 def test_verify_does_not_load_the_augmented_module():
-    # the projection search runs in gaussian-akl only; verify's start-up and
-    # timing do not depend on it
+    # augmented (and numpy's eigensolver with it) serves only the Gaussian
+    # projection commands; verify's start-up and timing do not depend on it
     statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = _loaded_after(statement, "verify", "--trials", "10")
     assert "divbounds.augmented" not in loaded

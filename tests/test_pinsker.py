@@ -524,3 +524,31 @@ class TestSandwichAugmented:
         )
         report = check_sandwich_augmented(p, self.q, near_unit, atv=atv, conv=SUP)
         assert not report.all_hold
+
+    def test_report_does_not_depend_on_the_atv_convention(self):
+        # with its ATV from atv_gaussian, the report is the same in both
+        # conventions, below, inside and above the spectrum: the reason the
+        # augmented `sandwich` subcommand takes no --convention
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n = int(rng.integers(1, 6))
+            eigs = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+            sigma = oracles.random_spd_matrix(n, eigs, rng) if n > 1 else np.diag(eigs)
+            q = GaussianND(nu=rng.normal(size=n), sigma=sigma)
+            zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+            sigma2 = (
+                zeta_min * math.exp(-rng.uniform(0.0, 4.0)),
+                zeta_min + (zeta_max - zeta_min) * rng.uniform(),
+                zeta_max * math.exp(rng.uniform(0.0, 4.0)),
+            )[trial % 3]
+            p = Gaussian1D(mu=float(rng.normal()), sigma2=sigma2)
+            m1, m2 = rng.uniform(0.05, 0.95, size=2)
+            big1, big2 = rng.uniform(1.05, 20.0, size=2)
+            bounds = AugmentedDensityBounds(
+                emb=DensityBounds(m1, big1), proj=DensityBounds(m2, big2)
+            )
+            sup, var = (
+                check_sandwich_augmented(p, q, bounds, atv_gaussian(p, q, c), c)
+                for c in (SUP, VAR)
+            )
+            assert sup == var
