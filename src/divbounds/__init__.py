@@ -33,7 +33,7 @@ _MODULE_EXPORTS = {
         "distribution_from_json", "kl_discrete", "kl_gaussian_1d", "tv_discrete",
         "tv_gaussian_1d",
     ),
-    "oracle": ("FuzzReport", "fuzz_sandwich", "resolve_tv_convention"),
+    "oracle": ("FuzzReport", "fuzz_sandwich"),
     "pinsker": (
         "PINNED_TV_CONVENTION", "AugmentedDensityBounds", "SandwichReport",
         "augmented_upper_bound", "check_sandwich_augmented",

@@ -1,11 +1,11 @@
 """Ground truth for both bounds on small discrete spaces.
 
 Both bounds are optimal, and two-point pairs attain each: at such a pair
-KL equals the bound up to rounding. Those pairs settle the TV scale the
-reverse Pinsker bound consumes and show that the lower-bound curve is
-attained; random pairs on 2..VERIFY_MAX_SUPPORT points check the whole
-bound chain. Exhaustive binary-grid scans of both bounds are test
-oracles. ``run_verify`` is ``divbounds verify``.
+KL equals the bound up to rounding. ``verify_tightness`` runs those
+pairs through the fuzz stage's checker, so a miscaled curve, phi or TV
+scale shows as a row off KL; random pairs on 2..VERIFY_MAX_SUPPORT points
+check the whole bound chain. Exhaustive binary-grid scans of both bounds
+are test oracles. ``run_verify`` is ``divbounds verify``.
 """
 
 import math
@@ -14,9 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import _integer
-from .measures import DiscreteDistribution, TvConvention
-from .measures import density_bounds_discrete, kl_discrete, tv_discrete
-from .pinsker import PINNED_TV_CONVENTION, SandwichReport, _phi, check_sandwich_rows
+from .pinsker import SandwichReport, check_sandwich_rows
 from .serialize import dumps
 from .vajda import curve_point_for_delta
 
@@ -27,7 +25,7 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
-# the density bounds (m, M) of the pairs that settle the TV convention, and
+# the density bounds (m, M) of the pairs that attain the upper bound, and
 # how far a bound may fall from KL at the pairs that attain it, relative:
 # kl_discrete's contract allows 2.9e-13 on these pairs, the TV, phi and the
 # curve a few ulps; 1e-9 miscalings fail
@@ -143,69 +141,64 @@ def fuzz_sandwich(n_trials: int, seed: int) -> FuzzReport:
     )
 
 
-def _attainment_gaps(conv: TvConvention):
-    # (U - KL) / KL with delta read on ``conv``, at Q = (q, 1 - q) and
-    # P = (Mq, m(1 - q)), q = (1 - m) / (M - m): dP/dQ takes m and M
-    for m, M in _ATTAINING_BOUNDS:
-        q1 = (1.0 - m) / (M - m)
-        p = DiscreteDistribution([M * q1, m * (1.0 - q1)])
-        q = DiscreteDistribution([q1, 1.0 - q1])
-        kl, db = kl_discrete(p, q), density_bounds_discrete(p, q)
-        yield (tv_discrete(p, q, conv) * (_phi(db.M) - _phi(db.m)) - kl) / kl
-
-
-def resolve_tv_convention() -> TvConvention | None:
-    """Settle which TV scale the reverse-Pinsker formula consumes.
-
-    The pair whose density ratio takes exactly the values m and M attains
-    the bound, so KL equals U there on the right scale. Returns the
-    convention on whose reading of delta U is within ATTAINMENT_REL_TOL
-    of KL at the pair of every (m, M) in _ATTAINING_BOUNDS; None if
-    neither scale is, since the implementation is then broken.
-    """
-    for conv in (TvConvention.SUP, TvConvention.VARIATIONAL):
-        if all(abs(gap) <= ATTAINMENT_REL_TOL for gap in _attainment_gaps(conv)):
-            return conv
-    return None
-
-
-def verify_tightness() -> list:
-    """Rows of `divbounds verify` showing that the lower bound is attained.
-
-    At each of VERIFY_DELTAS, with t and L from ``curve_point_for_delta``
-    and c = coth t - 1/t, the pair Q = ((1 - c)/2, (1 + c)/2), P = Q +
-    (delta(t)/2, -delta(t)/2) has variational TV delta(t) and KL L(t)
-    (Fedotov, Harremoes and Topsoe 2003). A row is ok when that KL is
-    within ATTAINMENT_REL_TOL of L, relative.
-    """
-    rows = []
+def _attaining_pairs():
+    # (p, q) as (n, 2) arrays. At each VERIFY_DELTAS entry, with t from the
+    # curve and c = coth t - 1/t, Q = ((1 - c)/2, (1 + c)/2) and P = Q +
+    # (delta(t)/2, -delta(t)/2) have KL L(t) (Fedotov, Harremoes and Topsoe
+    # 2003); at each (m, M), Q = (q, 1 - q) and P = (Mq, m(1 - q)) with
+    # q = (1 - m)/(M - m) have dP/dQ in {m, M} and KL U (Binette 2019)
+    pairs = []
     for delta in VERIFY_DELTAS:
         point = curve_point_for_delta(delta)
         c = 1.0 / math.tanh(point.t) - 1.0 / point.t
         q0, q1, h = (1.0 - c) / 2.0, (1.0 + c) / 2.0, point.delta / 2.0
-        p, q = DiscreteDistribution([q0 + h, q1 - h]), DiscreteDistribution([q0, q1])
-        kl, lb = kl_discrete(p, q), point.l_value
-        gap = (kl - lb) / lb
-        ok = abs(gap) <= ATTAINMENT_REL_TOL
-        rows.append(dict(delta=delta, witness_kl=kl, vajda_lb=lb, rel_gap=gap, ok=ok))
-    return rows
+        pairs.append(((q0 + h, q1 - h), (q0, q1)))
+    for m, M in _ATTAINING_BOUNDS:
+        q1 = (1.0 - m) / (M - m)
+        pairs.append(((M * q1, m * (1.0 - q1)), (q1, 1.0 - q1)))
+    p, q = zip(*pairs)
+    return np.array(p), np.array(q)
+
+
+def verify_tightness() -> dict:
+    """The rows of `divbounds verify` that show both bounds attained.
+
+    The pairs that attain them go through ``check_sandwich_rows``, the
+    fuzz stage's checker, as one batch. ``lower`` has a row per
+    VERIFY_DELTAS entry, ``upper`` one per (m, M) in _ATTAINING_BOUNDS;
+    ``rel_gap`` is (KL - L)/L or (U - KL)/U, negative where the bound
+    fails, and a row is ok when |rel_gap| <= ATTAINMENT_REL_TOL. A TV
+    read on the wrong scale puts U off by a factor of 2.
+    """
+    rows = check_sandwich_rows(*_attaining_pairs())
+    with np.errstate(all="ignore"):  # a broken bound of 0 or nan fails its row
+        lo = ((rows.divergence - rows.vajda_lb) / rows.vajda_lb).tolist()
+        up = ((rows.upper - rows.divergence) / rows.upper).tolist()
+    kl, lb, ub = rows.divergence.tolist(), rows.vajda_lb.tolist(), rows.upper.tolist()
+    n, tol = len(VERIFY_DELTAS), ATTAINMENT_REL_TOL
+    lower = [
+        dict(delta=d, witness_kl=kl[i], vajda_lb=lb[i], rel_gap=g, ok=abs(g) <= tol)
+        for i, (d, g) in enumerate(zip(VERIFY_DELTAS, lo))
+    ]
+    upper = [
+        dict(m=m, M=M, witness_kl=kl[i], upper=ub[i], rel_gap=g, ok=abs(g) <= tol)
+        for i, ((m, M), g) in enumerate(zip(_ATTAINING_BOUNDS, up[n:]), n)
+    ]
+    return {"lower": lower, "upper": upper}
 
 
 def run_verify(trials: int, seed: int):
-    """The `divbounds verify` workflow: convention, fuzz, tightness.
+    """The `divbounds verify` workflow: fuzz, then attainment.
 
     Returns (summary, fuzz): the object the command prints, and the
     FuzzReport whose violations it writes to stderr. ``trials`` and
     ``seed`` are checked before any stage runs.
     """
     trials, seed = _integer("trials", trials, 1), _integer("seed", seed, 0)
-    convention = resolve_tv_convention()
     fuzz = fuzz_sandwich(trials, seed)
     tightness = verify_tightness()
-    matches = convention is PINNED_TV_CONVENTION
+    attained = all(row["ok"] for rows in tightness.values() for row in rows)
     summary = {
-        "convention": None if convention is None else convention.value,
-        "convention_matches_pinned": matches,
         "fuzz": {
             "trials": trials,
             "max_support": VERIFY_MAX_SUPPORT,
@@ -213,6 +206,6 @@ def run_verify(trials: int, seed: int):
             "violations": fuzz.n_violations,
         },
         "tightness": tightness,
-        "all_ok": matches and fuzz.ok and all(row["ok"] for row in tightness),
+        "all_ok": fuzz.ok and attained,
     }
     return summary, fuzz

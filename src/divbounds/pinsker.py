@@ -13,11 +13,12 @@ phi(M) * (r - 1) of divergence per unit of total variation and mass
 moving down removes at least phi(m) * (1 - r). When m = 1 or M = 1 the
 pair is forced to be identical and U degenerates to 0.
 
-The scale on which delta enters the formula is settled by that
-attainment (``oracle.resolve_tv_convention``: KL equals U at such pairs
-on the SUP reading of delta, and half of U on the other) and pinned here
-as ``PINNED_TV_CONVENTION``. A test checks it against an exhaustive
-binary-grid scan of D_KL <= U, kept in the test suite as an oracle.
+That attainment settles the scale on which delta enters the formula: KL
+equals U at such pairs on the SUP reading of delta, and half of U on the
+other. ``check_sandwich_rows`` takes delta on that scale, which
+``divbounds verify`` checks at those pairs (``oracle.verify_tightness``);
+``reverse_pinsker`` converts to ``PINNED_TV_CONVENTION``, which a test
+checks against an exhaustive binary-grid scan of D_KL <= U.
 
 ``check_sandwich_same_dim`` holds every edge rule of the discrete chain.
 The batched ``check_sandwich_rows`` computes only plain rows as arrays:
@@ -140,8 +141,9 @@ def _sandwich_report(
 
 def _phi(x, xp=math):
     # x log(x) / (x - 1); x - 1 is exact near 1, and log x is finite for
-    # every positive double. ``xp`` is math for floats and numpy for arrays.
-    return x * xp.log(x) / (x - 1.0)
+    # every positive double. Grouped so that no product overflows: x log x
+    # does from x = 2.6e305 on. ``xp`` is math for floats, numpy for arrays.
+    return x * (xp.log(x) / (x - 1.0))
 
 
 def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:

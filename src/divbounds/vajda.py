@@ -302,14 +302,16 @@ def invert_poly_bound(xi: float) -> float:
     return math.sqrt(u)
 
 
-def _log_grid(t_min: float, t_max: float, n_points: int) -> list[float]:
+def _log_grid(t_min: float, t_max: float, n_points: int):
     # n_points log-spaced values, 10^(i step + log10 t_min) with both
     # endpoints exact: np.geomspace's formula, so the interior matches it
-    # to an ulp wherever math and numpy agree on the endpoints' log10
+    # to an ulp wherever math and numpy agree on the endpoints' log10; lazy,
+    # so a caller can stop at a point before the rest are made
     lo = math.log10(t_min)
     step = (math.log10(t_max) - lo) / (n_points - 1)
-    inner = (10.0 ** (i * step + lo) for i in range(1, n_points - 1))
-    return [float(t_min), *inner, float(t_max)]
+    yield float(t_min)
+    yield from (10.0 ** (i * step + lo) for i in range(1, n_points - 1))
+    yield float(t_max)
 
 
 def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
@@ -317,7 +319,7 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
 
     Requires 0 < t_min < t_max <= T_MAX and n_points >= 2; the emitted
     deltas are strictly increasing, and a grid too fine for delta(t) to
-    resolve raises DomainError.
+    resolve raises DomainError at the first point that fails to rise.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min <= 0:
         raise DomainError(f"grid endpoints must be positive, got ({t_min}, {t_max})")
@@ -326,13 +328,15 @@ def emit_curve(t_min: float, t_max: float, n_points: int) -> list[CurvePoint]:
     if t_max > T_MAX:
         raise DomainError(f"t_max {t_max} exceeds {T_MAX}")
     n_points = _integer("n_points", n_points, 2)
-    points = [curve_at_parameter(t) for t in _log_grid(t_min, t_max, n_points)]
-    for prev, cur in zip(points, points[1:]):
-        if not cur.delta > prev.delta:
+    points = []
+    for t in _log_grid(t_min, t_max, n_points):
+        point = curve_at_parameter(t)
+        if points and not point.delta > points[-1].delta:
             raise DomainError(
                 f"grid finer than delta(t) resolves: emitted deltas not "
-                f"strictly increasing at t = {cur.t:.17g}"
+                f"strictly increasing at t = {point.t:.17g}"
             )
+        points.append(point)
     return points
 
 

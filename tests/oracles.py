@@ -13,7 +13,8 @@ projection search's per-step refinement, frozen below as the reference
 for its screened form, scores with the library's ``kl_gaussian_1d``,
 whose own tests use the mpmath values here; and the exhaustive TV
 convention scan evaluates U through ``pinsker._phi``, the function whose
-scale it settles. Frozen copies of former library code (the discrete
+scale it checks from below, as ``divbounds verify``'s upper attainment
+rows check it at the pairs that attain U. Frozen copies of former library code (the discrete
 kernels, ``kl_gaussian_1d``'s body) and search results recorded from an
 earlier version guard rewrites that must stay bit-identical.
 """
@@ -565,8 +566,8 @@ def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float
 def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     """The exhaustive binary-grid scan that settles the TV convention.
 
-    A copy of the scan ``oracle.resolve_tv_convention`` ran before it
-    decided by attainment, kept as the reference it must agree with. If
+    The reference ``PINNED_TV_CONVENTION`` must agree with, independent
+    of the pairs that attain U, at which ``divbounds verify`` checks it. If
     KL <= U holds at every strictly positive binary pair on the grid with
     delta read as SUP, that convention is returned; otherwise VARIATIONAL
     is tried; if neither holds, the implementation is broken and an error

@@ -480,39 +480,67 @@ def test_verify_small_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "300", "--seed", "1")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["fuzz", "tightness", "all_ok"]
     assert payload["all_ok"] is True
-    assert payload["convention"] == "sup"
     assert payload["fuzz"]["violations"] == 0
     # the fuzz margins stay off stdout
     assert list(payload["fuzz"]) == ["trials", "max_support", "seed", "violations"]
-    assert len(payload["tightness"]) == 5
+    assert len(payload["tightness"]["lower"]) == 5
+    assert len(payload["tightness"]["upper"]) == 25
 
 
 def test_verify_failure_exits_two(capsys, monkeypatch):
-    # L(t) off by 1e-9 either way misses the KL of the pair that attains
-    # it, which flips every tightness row, the summary and the exit code
-    from divbounds import vajda
+    # the batched curve off by 1e-9 either way misses the KL of the pairs
+    # that attain it, which flips every lower row, the summary and the
+    # exit code
+    from divbounds import pinsker
 
-    l_at = vajda._l_at
+    curve = pinsker.vajda_lower_bound_array
     for scale in (1 + 1e-9, 1 - 1e-9):
-        monkeypatch.setattr(vajda, "_l_at", lambda t: scale * l_at(t))
+        monkeypatch.setattr(pinsker, "vajda_lower_bound_array", lambda d: scale * curve(d))
         code, out, err = run_cli(capsys, "verify", "--trials", "50", "--seed", "1")
         assert code == 2
         payload = json.loads(out)
         assert payload["all_ok"] is False
-        assert not any(row["ok"] for row in payload["tightness"])
+        assert not any(row["ok"] for row in payload["tightness"]["lower"])
+        assert all(row["ok"] for row in payload["tightness"]["upper"])
         assert "Traceback" not in err
 
 
 # the stdout of `divbounds verify --trials 10000 --seed 1`, frozen byte for
 # byte: a rewrite of any stage must leave it unchanged
 VERIFY_SEED1_STDOUT = (
-    '{"convention":"sup","convention_matches_pinned":true,"fuzz":{"trials":10000,"max_support":6,"seed":1,"violations":0},"tightness":['
-    '{"delta":0.2,"witness_kl":0.02004468315795291,"vajda_lb":0.02004468315795296,"rel_gap":-2.5962847039892503e-15,"ok":true},'
-    '{"delta":0.5,"witness_kl":0.1267966535063854,"vajda_lb":0.1267966535063854,"rel_gap":0.0,"ok":true},'
-    '{"delta":0.9,"witness_kl":0.4255281184387063,"vajda_lb":0.42552811843870686,"rel_gap":-1.3045236924631966e-15,"ok":true},'
+    '{"fuzz":{"trials":10000,"max_support":6,"seed":1,"violations":0},"tightness":{"lower":['
+    '{"delta":0.2,"witness_kl":0.02004468315795291,"vajda_lb":0.020044683157952953,"rel_gap":-2.2501134101240176e-15,"ok":true},'
+    '{"delta":0.5,"witness_kl":0.1267966535063854,"vajda_lb":0.12679665350638544,"rel_gap":-4.377966586354923e-16,"ok":true},'
+    '{"delta":0.9,"witness_kl":0.4255281184387063,"vajda_lb":0.4255281184387062,"rel_gap":2.609047384926397e-16,"ok":true},'
     '{"delta":1.3,"witness_kl":0.9503872581626758,"vajda_lb":0.950387258162676,"rel_gap":-2.336359236910396e-16,"ok":true},'
-    '{"delta":1.7,"witness_kl":1.8905692703505201,"vajda_lb":1.890569270350521,"rel_gap":-4.697941692109766e-16,"ok":true}],"all_ok":true}\n'
+    '{"delta":1.7,"witness_kl":1.8905692703505201,"vajda_lb":1.8905692703505228,"rel_gap":-1.4093825076329284e-15,"ok":true}],"upper":['
+    '{"m":0.001,"M":1.1,"witness_kl":0.09467295819751996,"upper":0.09467295819752002,"rel_gap":5.863464318442725e-16,"ok":true},'
+    '{"m":0.001,"M":2.0,"witness_kl":0.6893448281539712,"upper":0.6893448281539712,"rel_gap":0.0,"ok":true},'
+    '{"m":0.001,"M":10.0,"witness_kl":2.2942949576457323,"upper":2.2942949576457323,"rel_gap":0.0,"ok":true},'
+    '{"m":0.001,"M":100.0,"witness_kl":4.593772275798669,"upper":4.59377227579867,"rel_gap":1.933440245567478e-16,"ok":true},'
+    '{"m":0.001,"M":1000.0,"witness_kl":6.8939535701330215,"upper":6.893953570133022,"rel_gap":1.2883440694292162e-16,"ok":true},'
+    '{"m":0.01,"M":1.1,"witness_kl":0.09099781249625849,"upper":0.09099781249625848,"rel_gap":-1.525068287590437e-16,"ok":true},'
+    '{"m":0.01,"M":2.0,"witness_kl":0.6665224701752818,"upper":0.6665224701752817,"rel_gap":-1.6656948179604368e-16,"ok":true},'
+    '{"m":0.01,"M":10.0,"witness_kl":2.240353063453666,"upper":2.240353063453666,"rel_gap":0.0,"ok":true},'
+    '{"m":0.01,"M":100.0,"witness_kl":4.513978697156645,"upper":4.513978697156644,"rel_gap":-1.9676176590279191e-16,"ok":true},'
+    '{"m":0.01,"M":1000.0,"witness_kl":6.7927400034343295,"upper":6.792740003434329,"rel_gap":-1.307540726203377e-16,"ok":true},'
+    '{"m":0.1,"M":1.1,"witness_kl":0.07133122707634124,"upper":0.07133122707634117,"rel_gap":-9.727708590349893e-16,"ok":true},'
+    '{"m":0.1,"M":2.0,"witness_kl":0.535477060899209,"upper":0.535477060899209,"rel_gap":0.0,"ok":true},'
+    '{"m":0.1,"M":10.0,"witness_kl":1.8839332579042196,"upper":1.8839332579042192,"rel_gap":-2.3572449182413685e-16,"ok":true},'
+    '{"m":0.1,"M":100.0,"witness_kl":3.9206178610439157,"upper":3.9206178610439166,"rel_gap":2.265404207141055e-16,"ok":true},'
+    '{"m":0.1,"M":1000.0,"witness_kl":5.98755025531935,"upper":5.98755025531935,"rel_gap":0.0,"ok":true},'
+    '{"m":0.5,"M":1.1,"witness_kl":0.029605399773969053,"upper":0.02960539977396902,"rel_gap":-1.1718966737291541e-15,"ok":true},'
+    '{"m":0.5,"M":2.0,"witness_kl":0.2310490601866484,"upper":0.23104906018664845,"rel_gap":2.402569877861188e-16,"ok":true},'
+    '{"m":0.5,"M":10.0,"witness_kl":0.8835540160474185,"upper":0.8835540160474183,"rel_gap":-1.256542332965383e-16,"ok":true},'
+    '{"m":0.5,"M":100.0,"witness_kl":1.9693238579064043,"upper":1.9693238579064043,"rel_gap":0.0,"ok":true},'
+    '{"m":0.5,"M":1000.0,"witness_kl":3.1092052254140823,"upper":3.1092052254140823,"rel_gap":0.0,"ok":true},'
+    '{"m":0.9,"M":1.1,"witness_kl":0.005008366846356832,"upper":0.005008366846356825,"rel_gap":-1.3854603939315474e-15,"ok":true},'
+    '{"m":0.9,"M":2.0,"witness_kl":0.03982270183631395,"upper":0.03982270183631398,"rel_gap":6.969787165550592e-16,"ok":true},'
+    '{"m":0.9,"M":10.0,"witness_kl":0.15924889188633545,"upper":0.1592488918863354,"rel_gap":-3.4858108319446994e-16,"ok":true},'
+    '{"m":0.9,"M":100.0,"witness_kl":0.36997053395326523,"upper":0.36997053395326535,"rel_gap":3.000841750184894e-16,"ok":true},'
+    '{"m":0.9,"M":1000.0,"witness_kl":0.5965828128017835,"upper":0.5965828128017835,"rel_gap":0.0,"ok":true}]},"all_ok":true}\n'
 )
 
 
@@ -523,20 +551,22 @@ def test_verify_stdout_is_frozen(capsys):
 
 
 def test_verify_with_a_broken_upper_bound_exits_two(capsys, monkeypatch):
-    # no TV scale makes U equal KL where it is attained: one failing
-    # summary line and exit 2, not a traceback
-    from divbounds import oracle
+    # phi miscaled either way, or U read on the wrong TV scale (a factor
+    # of 2), moves U off KL where it is attained: one failing summary line
+    # and exit 2, not a traceback
+    from divbounds import pinsker
 
-    phi = oracle._phi
-    monkeypatch.setattr(oracle, "_phi", lambda x, *xp: (1 + 1e-9) * phi(x, *xp))
-    code, out, err = run_cli(capsys, "verify", "--trials", "50")
-    assert code == 2
-    assert len(out.splitlines()) == 1
-    payload = json.loads(out)
-    assert payload["convention"] is None
-    assert payload["convention_matches_pinned"] is False
-    assert payload["all_ok"] is False
-    assert "Traceback" not in err
+    phi = pinsker._phi
+    for scale in (1 + 1e-9, 1 - 1e-9, 2.0, 0.5):
+        monkeypatch.setattr(pinsker, "_phi", lambda x, *xp: scale * phi(x, *xp))
+        code, out, err = run_cli(capsys, "verify", "--trials", "10000")
+        assert code == 2
+        assert len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert payload["all_ok"] is False
+        assert not any(row["ok"] for row in payload["tightness"]["upper"])
+        assert all(row["ok"] for row in payload["tightness"]["lower"])
+        assert "Traceback" not in err
 
 
 def test_verify_rejects_bad_tolerance(capsys):

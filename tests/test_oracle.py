@@ -12,11 +12,10 @@ from divbounds import (
     fuzz_sandwich,
     kl_discrete,
     poly_lower_bound,
-    resolve_tv_convention,
     tv_discrete,
     vajda_lower_bound,
 )
-from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker, vajda
+from divbounds import DiscreteDistribution, check_sandwich_same_dim, oracle, pinsker
 from divbounds.oracle import SandwichViolation
 from divbounds.pinsker import SandwichReport
 from oracles import binary_min_kl, check_grid_step
@@ -238,19 +237,42 @@ class TestFuzzSandwich:
         assert payload["divergence"] == 0.1
 
 
+def _scaled(monkeypatch, name, scale):
+    # pinsker.<name> times ``scale``: _phi and the batched curve are what
+    # check_sandwich_rows calls for U and L
+    f = getattr(pinsker, name)
+    monkeypatch.setattr(pinsker, name, lambda x, *xp: scale * f(x, *xp))
+
+
+# the upper rows of the attainment stage are what settles the TV convention:
+# U read on the pinned scale equals KL at the pairs that attain it
 class TestResolveTvConvention:
     def test_returns_sup(self):
-        assert resolve_tv_convention() is TvConvention.SUP
+        rows = oracle.verify_tightness()["upper"]
+        assert PINNED_TV_CONVENTION is TvConvention.SUP
+        assert len(rows) == len(oracle._ATTAINING_BOUNDS) == 25
+        assert all(row["ok"] for row in rows)
 
     def test_deterministic(self):
-        assert resolve_tv_convention() is resolve_tv_convention()
+        assert oracle.verify_tightness() == oracle.verify_tightness()
 
     def test_matches_pinned_constant(self):
-        assert resolve_tv_convention() is PINNED_TV_CONVENTION
+        # U on the pinned scale is what check_sandwich_same_dim reports
+        p, q = oracle._attaining_pairs()
+        n = len(oracle.VERIFY_DELTAS)
+        for i, row in enumerate(oracle.verify_tightness()["upper"], n):
+            pi, qi = DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
+            delta = tv_discrete(pi, qi, PINNED_TV_CONVENTION)
+            db = density_bounds_discrete(pi, qi)
+            assert (db.m, db.M) == pytest.approx((row["m"], row["M"]), rel=1e-15)
+            assert row["upper"] == check_sandwich_same_dim(pi, qi).upper
+            assert row["upper"] == pytest.approx(
+                pinsker.reverse_pinsker(delta, PINNED_TV_CONVENTION, db), rel=1e-15
+            )
 
     def test_coarser_grid_agrees(self):
         # the exhaustive scan at step 1e-3 runs in test_pinsker
-        assert oracles.tv_convention_scan(step=0.01) is resolve_tv_convention()
+        assert oracles.tv_convention_scan(step=0.01) is PINNED_TV_CONVENTION
 
     def test_pairs_attain_the_bound_on_the_sup_reading_only(self):
         tol = oracle.ATTAINMENT_REL_TOL
@@ -270,67 +292,90 @@ class TestResolveTvConvention:
             assert abs(sup * slope - kl) <= tol * kl
             assert abs(var * slope - 2 * kl) <= 2 * tol * kl
 
-    @pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9, 1.5])
+    @pytest.mark.parametrize("scale", [1 + 1e-9, 1 - 1e-9, 1.5, 2.0])
     def test_a_miscaled_phi_is_not_sup(self, monkeypatch, scale):
         # a scan of KL <= U passes an inflated bound; KL = U at the
         # attaining pairs fails a miscaling in either direction
-        phi = oracle._phi
-        monkeypatch.setattr(oracle, "_phi", lambda x, *xp: scale * phi(x, *xp))
-        assert resolve_tv_convention() is None
+        _scaled(monkeypatch, "_phi", scale)
+        rows = oracle.verify_tightness()
+        assert not any(row["ok"] for row in rows["upper"])
+        assert all(row["ok"] for row in rows["lower"])
+        for row in rows["upper"]:
+            assert abs(row["rel_gap"] - (1 - 1 / scale)) <= 1e-14
 
     def test_a_halved_phi_reads_variational(self, monkeypatch):
-        phi = oracle._phi
-        monkeypatch.setattr(oracle, "_phi", lambda x, *xp: 0.5 * phi(x, *xp))
-        assert resolve_tv_convention() is TvConvention.VARIATIONAL
+        # U on the wrong scale is off by a factor of 2: a halved phi
+        # makes every upper row read half the KL
+        _scaled(monkeypatch, "_phi", 0.5)
+        for row in oracle.verify_tightness()["upper"]:
+            assert not row["ok"]
+            assert 2 * row["upper"] == pytest.approx(row["witness_kl"], rel=1e-12)
 
 
 class TestRunVerify:
     def test_rows_judge_the_witness_gap_against_the_attainment_tolerance(self):
-        rows = oracle.verify_tightness()
-        assert [row["delta"] for row in rows] == list(oracle.VERIFY_DELTAS)
-        for row in rows:
+        tightness = oracle.verify_tightness()
+        assert list(tightness) == ["lower", "upper"]
+        lower, upper = tightness["lower"], tightness["upper"]
+        assert [row["delta"] for row in lower] == list(oracle.VERIFY_DELTAS)
+        assert [(row["m"], row["M"]) for row in upper] == list(oracle._ATTAINING_BOUNDS)
+        for row in lower:
             assert list(row) == ["delta", "witness_kl", "vajda_lb", "rel_gap", "ok"]
-            assert row["vajda_lb"] == vajda_lower_bound(row["delta"])
+            assert row["vajda_lb"] == pytest.approx(
+                vajda_lower_bound(row["delta"]), rel=1e-14, abs=0.0
+            )
             assert row["rel_gap"] == (row["witness_kl"] - row["vajda_lb"]) / row["vajda_lb"]
+        for row in upper:
+            assert list(row) == ["m", "M", "witness_kl", "upper", "rel_gap", "ok"]
+            assert row["rel_gap"] == (row["upper"] - row["witness_kl"]) / row["upper"]
+        for row in lower + upper:
             assert row["ok"] is (abs(row["rel_gap"]) <= oracle.ATTAINMENT_REL_TOL)
             assert row["ok"]
+
+    def test_rows_are_the_fuzz_checkers_reports(self, monkeypatch):
+        # one batch through the checker the fuzz stage uses, row for row
+        batches = []
+
+        def spy(p, q):
+            batches.append((p, q))
+            return pinsker.check_sandwich_rows(p, q)
+
+        monkeypatch.setattr(oracle, "check_sandwich_rows", spy)
+        tightness = oracle.verify_tightness()
+        [(p, q)] = batches
+        assert p.shape == q.shape == (30, 2)
+        rows = pinsker.check_sandwich_rows(p, q)
+        for i, row in enumerate(tightness["lower"] + tightness["upper"]):
+            report = rows.report(i)
+            assert row["witness_kl"] == report.divergence
+            assert row.get("vajda_lb", report.vajda_lb) == report.vajda_lb
+            assert row.get("upper", report.upper) == report.upper
 
     def test_the_witness_attains_the_curve_across_its_range(self, monkeypatch):
         # each witness pair has variational TV delta(t), within a few ulps
         # of delta, and KL L(t)
         deltas = tuple(np.linspace(0.2, 1.7, 151).tolist())
-        pairs = []
-
-        def spy(p, q):
-            pairs.append((p, q))
-            return kl_discrete(p, q)
-
         monkeypatch.setattr(oracle, "VERIFY_DELTAS", deltas)
-        monkeypatch.setattr(oracle, "kl_discrete", spy)
-        rows = oracle.verify_tightness()
+        p, q = oracle._attaining_pairs()
+        rows = oracle.verify_tightness()["lower"]
         assert [row["delta"] for row in rows] == list(deltas)
         assert all(row["ok"] for row in rows)
-        for row, (p, q) in zip(rows, pairs):
-            tv = tv_discrete(p, q, TvConvention.VARIATIONAL)
+        for i, row in enumerate(rows):
+            pi, qi = DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
+            tv = tv_discrete(pi, qi, TvConvention.VARIATIONAL)
             assert tv == pytest.approx(row["delta"], rel=0.0, abs=2e-15)
 
     def test_report_is_the_verify_summary(self, monkeypatch):
         summary, fuzz = oracle.run_verify(300, 1)
-        assert list(summary) == [
-            "convention",
-            "convention_matches_pinned",
-            "fuzz",
-            "tightness",
-            "all_ok",
-        ]
+        assert list(summary) == ["fuzz", "tightness", "all_ok"]
         assert summary["fuzz"] == {
             "trials": 300, "max_support": 6, "seed": 1, "violations": 0
         }
+        assert summary["tightness"] == oracle.verify_tightness()
         assert summary["all_ok"] is True
         assert fuzz.ok
         # a curve miscaled by 1e-9 misses the KL of the pairs that attain it
-        l_at = vajda._l_at
-        monkeypatch.setattr(vajda, "_l_at", lambda t: (1 + 1e-9) * l_at(t))
+        _scaled(monkeypatch, "vajda_lower_bound_array", 1 + 1e-9)
         failing, _ = oracle.run_verify(50, seed=1)
         assert failing["all_ok"] is False
 
@@ -339,7 +384,7 @@ class TestRunVerify:
         def stage(*args, **kwargs):
             raise AssertionError("a stage ran")
 
-        for name in ("resolve_tv_convention", "fuzz_sandwich", "verify_tightness"):
+        for name in ("fuzz_sandwich", "verify_tightness"):
             monkeypatch.setattr(oracle, name, stage)
 
     def test_checks_the_seed_before_any_stage(self, failing_stages):

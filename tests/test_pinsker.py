@@ -24,12 +24,11 @@ from divbounds import (
     check_sandwich_same_dim,
     density_bounds_discrete,
     kl_discrete,
-    resolve_tv_convention,
     reverse_pinsker,
     tv_discrete,
 )
 from divbounds.measures import PROB_SUM_TOL
-from divbounds import pinsker
+from divbounds import oracle, pinsker
 from divbounds.pinsker import SandwichRows, check_sandwich_rows
 
 SUP = TvConvention.SUP
@@ -41,9 +40,10 @@ def disc(*probs):
 
 
 def test_pinned_convention_matches_oracle():
-    # the named constant is only valid while the exhaustive scan agrees
+    # the named constant is only valid while the exhaustive scan agrees,
+    # and while U on it equals KL at the pairs that attain U
     assert oracles.tv_convention_scan(step=1e-3) is PINNED_TV_CONVENTION
-    assert resolve_tv_convention() is PINNED_TV_CONVENTION
+    assert all(row["ok"] for row in oracle.verify_tightness()["upper"])
 
 
 class TestReversePinsker:
@@ -81,12 +81,14 @@ class TestReversePinsker:
         )
 
     def test_phi_against_mpmath(self):
-        # near 1 (where x - 1 is exact) and down to the smallest subnormal,
+        # near 1 (where x - 1 is exact), down to the smallest subnormal and
+        # up to the largest double, past 2.6e305 where x log x overflows,
         # on both backends: within 2 ulps, and finite for every m > 0
         import mpmath
 
         near = [1.0 + k * 2.0**-52 for k in (-8, -3, -1, 1, 2, 7)]
         xs = near + [1.0 - 1e-8, 1.0 + 1e-8, 0.5, 2.0, 1e-20, 2.0**-54, 5e-324, 1e300]
+        xs += [2.6e305, 1e308, np.finfo(float).max]
         with mpmath.workdps(40):
             want = [
                 float(mpmath.mpf(x) * mpmath.log(x) / (mpmath.mpf(x) - 1)) for x in xs
@@ -294,6 +296,9 @@ class TestSandwichRows:
             ([0.3, 0.0, 0.7], [0.6, 0.0, 0.4]),  # padding inside the row
             ([0.5 + 1e-9, 0.5 - 1e-9], [0.5, 0.5]),  # near-identical
         ]
+        # and the pairs that attain L and U in `divbounds verify`, whose
+        # rows only the batched checker computes there
+        specials += list(zip(*oracle._attaining_pairs()))
         for i, (a, b) in enumerate(specials):
             p[i], q[i] = 0.0, 0.0
             p[i, : len(a)], q[i, : len(b)] = a, b

@@ -369,6 +369,17 @@ class TestEmitCurve:
         with pytest.raises(DomainError, match="not strictly increasing"):
             emit_curve(*args)
 
+    def test_a_grid_too_fine_stops_at_its_first_repeat(self, monkeypatch):
+        # t = 1 and the next grid point round to the same double; each
+        # point is checked as the grid is built, so the other 99 998 are
+        # neither evaluated nor made
+        calls = []
+        at = vajda.curve_at_parameter
+        monkeypatch.setattr(vajda, "curve_at_parameter", lambda t: calls.append(t) or at(t))
+        with pytest.raises(DomainError, match="not strictly increasing at t = 1$"):
+            emit_curve(1.0, 1.0 + 1e-12, 10**5)
+        assert calls == [1.0, 1.0]
+
     def test_log_grid_is_geomspace(self):
         # endpoints exact; the interior within an ulp of np.geomspace when
         # math.log10 and numpy's log10 agree at both ends (numpy's power
@@ -380,7 +391,7 @@ class TestEmitCurve:
         for _ in range(5000):
             a, b = np.sort(10.0 ** rng.uniform(-8.0, math.log10(T_MAX), size=2))
             n = int(rng.integers(2, 60))
-            grid = np.array(_log_grid(float(a), float(b), n))
+            grid = np.array(list(_log_grid(float(a), float(b), n)))
             ref = np.geomspace(a, b, n)
             assert grid[0] == a and grid[-1] == b
             assert np.all(np.abs(grid - ref) <= 1e-14 * ref)
