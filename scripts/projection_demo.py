@@ -79,7 +79,7 @@ def run(args) -> int:
                 "witness_kl": witness_kl,
                 "witness_gap": witness_kl - closed,
                 "witness_variance": witness.sigma2,
-                "atv_sup_estimate": atv,
+                "atv_sup": atv,
                 "atv_upper_bound_from_akl": 0.5 * invert_poly_bound(closed),
                 "sandwich": report.as_dict(),
             }

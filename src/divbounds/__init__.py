@@ -35,7 +35,7 @@ _MODULE_EXPORTS = {
     ),
     "oracle": ("FuzzReport", "fuzz_sandwich"),
     "pinsker": (
-        "PINNED_TV_CONVENTION", "AugmentedDensityBounds", "SandwichReport",
+        "AugmentedDensityBounds", "SandwichReport",
         "augmented_upper_bound", "check_sandwich_augmented",
         "check_sandwich_same_dim", "reverse_pinsker",
     ),

@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _convention(text: str) -> TvConvention:
-    return TvConvention(text)
-
-
 def _load_distribution(arg: str):
     if arg.lstrip().startswith("{"):
         return distribution_from_json(arg)
@@ -71,7 +67,7 @@ def _load_distribution(arg: str):
 def _add_convention_flag(parser, required: bool = True):
     parser.add_argument(
         "--convention",
-        type=_convention,
+        type=TvConvention,
         required=required,
         choices=list(TvConvention),
         metavar="{sup,variational}",
@@ -329,10 +325,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DivBoundsError as exc:
-        print(f"divbounds: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DivBoundsError, OSError) as exc:
         print(f"divbounds: error: {exc}", file=sys.stderr)
         return 1
 

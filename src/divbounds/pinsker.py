@@ -15,17 +15,17 @@ pair is forced to be identical and U degenerates to 0.
 
 That attainment settles the scale on which delta enters the formula: KL
 equals U at such pairs on the SUP reading of delta, and half of U on the
-other. ``check_sandwich_rows`` takes delta on that scale, which
-``divbounds verify`` checks at those pairs (``oracle.verify_tightness``);
-``reverse_pinsker`` converts to ``PINNED_TV_CONVENTION``, which a test
-checks against an exhaustive binary-grid scan of D_KL <= U.
+other. ``_upper`` is the one place U is formed, with delta on that scale;
+``reverse_pinsker`` converts its input to it, the checkers pass their own
+SUP delta, and ``divbounds verify`` checks it at the attaining pairs
+(``oracle.verify_tightness``).
 
 ``check_sandwich_same_dim`` holds every edge rule of the discrete chain.
 The batched ``check_sandwich_rows`` computes only plain rows as arrays:
 both sums within PROB_SUM_TOL of 1, no negative or nan entry, p
-absolutely continuous w.r.t. q, 0 < m < 1 < M, a finite U and delta
-within ``convert_tv``'s range. It hands each other row to the scalar
-checker (tens of us a row) and raises its error as ``row i: <message>``.
+absolutely continuous w.r.t. q, 0 < m < 1 < M and a finite U. It hands
+each other row to the scalar checker (tens of us a row) and raises its
+error as ``row i: <message>``.
 numpy is imported only by that checker, and ``augmented`` only by
 ``check_sandwich_augmented``; the discrete kernels of ``measures`` are
 ``math`` loops.
@@ -57,9 +57,6 @@ from .vajda import (
     vajda_lower_bound,
     vajda_lower_bound_array,
 )
-
-# Scale on which delta enters U; see module docstring and the pinned test.
-PINNED_TV_CONVENTION = TvConvention.SUP
 
 # Slack for the reported inequality chain, absorbing float rounding only.
 REPORT_TOL = 1e-9
@@ -146,30 +143,39 @@ def _phi(x, xp=math):
     return x * (xp.log(x) / (x - 1.0))
 
 
-def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:
-    """Upper bound on KL at total variation ``delta`` given density bounds.
+def _upper(delta_sup, m, M, xp=math):
+    # U with delta on the SUP scale, the one its attaining pairs fix
+    return delta_sup * (_phi(M, xp) - _phi(m, xp))
 
-    Evaluates delta * (phi(M) - phi(m)) with delta converted to the pinned
-    convention first. m = 1 or M = 1 forces the pair to be identical, so
-    delta must be 0 there and the result is 0.
-    """
-    if not math.isfinite(delta) or delta < 0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+
+def _checked_upper(delta_sup: float, bounds: DensityBounds) -> float:
+    # U's edge rules, for a delta already on the SUP scale
     if bounds.m <= 0:
         raise DomainError(
             f"reverse Pinsker needs a positive essential infimum, got m = {bounds.m}"
         )
-    d = convert_tv(delta, conv, PINNED_TV_CONVENTION)
     if bounds.m == 1.0 or bounds.M == 1.0:
-        if d != 0.0:
+        if delta_sup != 0.0:
             raise DomainError(
                 f"m = {bounds.m}, M = {bounds.M} force identical measures, "
-                f"so delta must be 0, got {d}"
+                f"so delta must be 0, got {delta_sup}"
             )
         return 0.0
     if not math.isfinite(bounds.M):
         raise DomainError("reverse Pinsker needs a finite essential supremum")
-    return d * (_phi(bounds.M) - _phi(bounds.m))
+    return _upper(delta_sup, bounds.m, bounds.M)
+
+
+def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:
+    """Upper bound on KL at total variation ``delta`` given density bounds.
+
+    Evaluates delta * (phi(M) - phi(m)) with delta converted to the SUP
+    scale first. m = 1 or M = 1 forces the pair to be identical, so
+    delta must be 0 there and the result is 0.
+    """
+    if not math.isfinite(delta) or delta < 0:
+        raise DomainError(f"delta must be >= 0, got {delta}")
+    return _checked_upper(convert_tv(delta, conv, TvConvention.SUP), bounds)
 
 
 def augmented_upper_bound(
@@ -177,8 +183,8 @@ def augmented_upper_bound(
 ) -> float:
     """The larger of the two one-sided reverse-Pinsker bounds.
 
-    Embedding and projection sides each yield a valid upper bound on the
-    augmented KL divergence; their max is the reported bound.
+    The max is the conservative choice; whether each side alone bounds
+    the augmented KL, so that the tighter min would do, is open.
     """
     return max(
         reverse_pinsker(delta, conv, bounds.emb),
@@ -203,7 +209,7 @@ def check_sandwich_same_dim(
     if db.M == math.inf and db.m != 1.0:
         upper = math.inf
     else:
-        upper = reverse_pinsker(delta_sup, TvConvention.SUP, db)
+        upper = _checked_upper(delta_sup, db)
     return _sandwich_report(2.0 * delta_sup, kl_discrete(p, q), upper)
 
 
@@ -235,15 +241,13 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
         m = np.where(support, ratio, np.inf).min(axis=1)
         M = np.where(support, ratio, -np.inf).max(axis=1)
         delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
-        upper = delta_sup * (_phi(M, np) - _phi(m, np))
+        upper = _upper(delta_sup, m, M, np)
         plain = (
             (np.abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
             & (np.abs(q.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
             & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=1)
             & (0 < m) & (m < 1) & (1 < M)
             & np.isfinite(upper)  # not where M = inf
-            # sums at 1 + PROB_SUM_TOL can round delta past convert_tv's range
-            & (delta_sup <= 1.0 + 1e-12)
         )
         log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
         divergence = (p * log_ratio).sum(axis=1)

@@ -12,7 +12,7 @@ pairs that ``divbounds verify`` shows attaining it. Two exceptions use a library
 projection search's per-step refinement, frozen below as the reference
 for its screened form, scores with the library's ``kl_gaussian_1d``,
 whose own tests use the mpmath values here; and the exhaustive TV
-convention scan evaluates U through ``pinsker._phi``, the function whose
+convention scan evaluates U through ``pinsker._upper``, the formula whose
 scale it checks from below, as ``divbounds verify``'s upper attainment
 rows check it at the pairs that attain U. Frozen copies of former library code (the discrete
 kernels, ``kl_gaussian_1d``'s body) and search results recorded from an
@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from divbounds.errors import DomainError
-from divbounds.measures import TvConvention
-from divbounds.pinsker import _phi
+from divbounds.measures import PROB_SUM_TOL, TvConvention
+from divbounds.pinsker import _upper
 from divbounds.quadrature import integrate_adaptive
 
 # --- frozen 50-digit-precision curve values (nearest doubles) ------------
@@ -127,6 +127,24 @@ TV_GAUSS_SUP_REF = (
         3.628864459467805e-24,
         0.999999989023393,
     ),
+)
+
+# (mu_a, s_a, mu_b, s_b, sup-convention TV) for equal variances and means
+# eps = 1e-3 ... 1e-15 apart: N(eps, 1) vs N(0, 1), and N(3, 4) vs
+# N(3 + 2 eps, 4) with 3 + 2 eps rounded to a double first. The TV is
+# erf(|mu_a - mu_b| / (2 sqrt(2 s))) at 50 digits, rounded to the nearest
+# double
+TV_GAUSS_EQUAL_VAR_REF = (
+    (0.001, 1.0, 0.0, 1.0, 0.0003989422637788383),
+    (1e-06, 1.0, 0.0, 1.0, 3.98942280401416e-07),
+    (1e-09, 1.0, 0.0, 1.0, 3.989422804014327e-10),
+    (1e-12, 1.0, 0.0, 1.0, 3.9894228040143267e-13),
+    (1e-15, 1.0, 0.0, 1.0, 3.989422804014327e-16),
+    (3.0, 4.0, 3.002, 4.0, 0.00039894226377879433),
+    (3.0, 4.0, 3.000002, 4.0, 3.989422803685964e-07),
+    (3.0, 4.0, 3.000000002, 4.0, 3.9894231341006497e-10),
+    (3.0, 4.0, 3.000000000002, 4.0, 3.9897774660248084e-13),
+    (3.0, 4.0, 3.000000000000002, 4.0, 4.429149051981359e-16),
 )
 
 # that last pair as (mu, s_a, s_b), and the distance from mu to each of its
@@ -566,12 +584,13 @@ def min_kl_at_tv_all_pairs(grid: np.ndarray, target: float, tol: float) -> float
 def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     """The exhaustive binary-grid scan that settles the TV convention.
 
-    The reference ``PINNED_TV_CONVENTION`` must agree with, independent
-    of the pairs that attain U, at which ``divbounds verify`` checks it. If
-    KL <= U holds at every strictly positive binary pair on the grid with
-    delta read as SUP, that convention is returned; otherwise VARIATIONAL
-    is tried; if neither holds, the implementation is broken and an error
-    is raised. ``step`` must pass ``check_grid_step``.
+    Independent of the pairs that attain U, at which ``divbounds verify``
+    checks it, this finds the scale on which U holds; it must be SUP, the
+    scale on which ``pinsker._upper`` takes delta. If KL <= U holds at
+    every strictly positive binary pair on the grid with delta read as
+    SUP, that convention is returned; otherwise VARIATIONAL is tried; if
+    neither holds, the implementation is broken and an error is raised.
+    ``step`` must pass ``check_grid_step``.
     """
     check_grid_step(step)
     n = round(1.0 / step)
@@ -588,8 +607,8 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
         with np.errstate(invalid="ignore"):
             # phi(1) is 0/0; ratios of 1 occur only on the diagonal p = q,
             # where delta and the bound are 0
-            slope = _phi(np.maximum(r1, r2), np) - _phi(np.minimum(r1, r2), np)
-        bound = np.where(p1 == q1, 0.0, np.abs(p1 - q1) * slope)
+            upper = _upper(np.abs(p1 - q1), np.minimum(r1, r2), np.maximum(r1, r2), np)
+        bound = np.where(p1 == q1, 0.0, upper)
         holds_sup = holds_sup and bool(np.all(kl <= bound + 1e-12))
         holds_var = holds_var and bool(np.all(kl <= 2.0 * bound + 1e-12))
     if holds_sup:
@@ -600,6 +619,32 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
         "neither TV convention validates the reverse-Pinsker bound on the "
         "binary grid; the upper-bound implementation must be wrong"
     )
+
+
+def sum_edge_rows(seed):
+    """A pair on 2n points whose sums pass PROB_SUM_TOL at its top edge.
+
+    p holds its mass on the first n points and 2**-53 of q's on the rest,
+    and q the mirror image, so 2**-54 < m < 1 < M < inf. Each row is
+    shrunk by ulps until its sum passes, then raised ulp by ulp at random
+    points while it still does; 0.5 sum|p - q| can then round past
+    1 + 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(32, 65))
+    a, b = rng.exponential(size=(2, n))
+    a *= (1.0 + 1e-12) / a.sum()
+    b *= (1.0 + 1e-12) / b.sum()
+    p = np.concatenate([a, b * 2.0**-53])
+    q = np.concatenate([a * 2.0**-53, b])
+    for row, big in ((p, slice(0, n)), (q, slice(n, 2 * n))):
+        while abs(row.sum() - 1.0) > PROB_SUM_TOL:
+            row[big] *= 1.0 - 2.0**-52
+        for j in big.start + rng.integers(n, size=4 * n):
+            row[j] = np.nextafter(row[j], 2.0)
+            if abs(row.sum() - 1.0) > PROB_SUM_TOL:
+                row[j] = np.nextafter(row[j], 0.0)
+    return p.tolist(), q.tolist()
 
 
 def mean_matched_kl(p, q, v) -> np.ndarray:

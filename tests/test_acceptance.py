@@ -15,7 +15,6 @@ from divbounds import (
     DensityBounds,
     Gaussian1D,
     GaussianND,
-    PINNED_TV_CONVENTION,
     TvConvention,
     atv_gaussian,
     check_sandwich_augmented,
@@ -123,7 +122,7 @@ def test_criterion_3_oracle_tightness():
 
 def test_criterion_4_reverse_pinsker_fuzz():
     start = time.perf_counter()
-    # U on the pinned scale equals KL at the pairs that attain it
+    # U on the SUP scale equals KL at the pairs that attain it
     upper = verify_tightness()["upper"]
     n_trials = 100_000
     report = fuzz_sandwich(n_trials, seed=1)
@@ -139,7 +138,7 @@ def test_criterion_4_reverse_pinsker_fuzz():
         "upper bound never violated",
         ok,
         f"{n_trials} random pairs (supports 2-{VERIFY_MAX_SUPPORT}), "
-        f"{report.n_violations} violations under {PINNED_TV_CONVENTION.value} "
+        f"{report.n_violations} violations under {TvConvention.SUP.value} "
         f"convention, attained at {len(upper)} pairs within {worst:.1e}; "
         f"{elapsed:.1f}s (< 60s)",
     )

@@ -280,6 +280,30 @@ def test_sandwich_with_a_density_bound_below_2_to_the_minus_54(capsys):
     assert payload["all_hold"] is True
 
 
+def test_sandwich_on_a_pair_whose_delta_rounds_past_1(capsys):
+    # both sums pass PROB_SUM_TOL and 0.5 sum|p - q| rounds past 1 + 1e-12;
+    # the checker passes that delta to U without a range check, and the
+    # pair's ratio takes only the values m and M, so U equals KL
+    p, q = oracles.sum_edge_rows(31)
+    argv = ["sandwich", "--p", json.dumps({"type": "discrete", "probs": p}),
+            "--q", json.dumps({"type": "discrete", "probs": q})]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["divergence"] == payload["upper"] == 36.73680056971385
+    assert payload["all_hold"] is True
+
+
+def test_a_bad_convention_names_the_enum(capsys):
+    code, out, err = run_cli(capsys, "vajda", "--delta", "0.5", "--convention", "foo")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: divbounds vajda")
+    assert err.splitlines()[-1] == (
+        "divbounds vajda: error: argument --convention: "
+        "invalid TvConvention value: 'foo'"
+    )
+
+
 def test_reverse_pinsker_with_a_density_bound_below_2_to_the_minus_54(capsys):
     code, out, err = run_cli(
         capsys,

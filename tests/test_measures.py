@@ -262,6 +262,15 @@ class TestTvGaussian1d:
         assert abs(tv_gaussian_1d(b, a, SUP) - ref) <= GAUSS_TV_ABS_TOL
         assert abs(tv_gaussian_1d(a, b, VAR) - 2 * ref) <= 2 * GAUSS_TV_ABS_TOL
 
+    @pytest.mark.parametrize("mu_a,s_a,mu_b,s_b,ref", oracles.TV_GAUSS_EQUAL_VAR_REF)
+    def test_equal_variances_within_relative_contract(self, mu_a, s_a, mu_b, s_b, ref):
+        # the one crossing's mass straddles 0, so no O(1) masses cancel,
+        # however close the means
+        a, b = Gaussian1D(mu_a, s_a), Gaussian1D(mu_b, s_b)
+        for got in (tv_gaussian_1d(a, b, SUP), tv_gaussian_1d(b, a, SUP)):
+            assert abs(got - ref) <= 1e-15 * ref
+        assert abs(tv_gaussian_1d(a, b, VAR) - 2 * ref) <= 2e-15 * ref
+
     def test_crossings_survive_a_tiny_variance(self):
         # the uncentred quadratic lost both roots of this pair to cancellation
         mu, s_a, s_b = oracles.CROSSING_PAIR

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from divbounds import (
     DomainError,
-    PINNED_TV_CONVENTION,
     TvConvention,
     density_bounds_discrete,
     fuzz_sandwich,
@@ -245,11 +244,10 @@ def _scaled(monkeypatch, name, scale):
 
 
 # the upper rows of the attainment stage are what settles the TV convention:
-# U read on the pinned scale equals KL at the pairs that attain it
+# U read on the SUP scale equals KL at the pairs that attain it
 class TestResolveTvConvention:
     def test_returns_sup(self):
         rows = oracle.verify_tightness()["upper"]
-        assert PINNED_TV_CONVENTION is TvConvention.SUP
         assert len(rows) == len(oracle._ATTAINING_BOUNDS) == 25
         assert all(row["ok"] for row in rows)
 
@@ -257,22 +255,22 @@ class TestResolveTvConvention:
         assert oracle.verify_tightness() == oracle.verify_tightness()
 
     def test_matches_pinned_constant(self):
-        # U on the pinned scale is what check_sandwich_same_dim reports
+        # U on the SUP scale is what check_sandwich_same_dim reports
         p, q = oracle._attaining_pairs()
         n = len(oracle.VERIFY_DELTAS)
         for i, row in enumerate(oracle.verify_tightness()["upper"], n):
             pi, qi = DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
-            delta = tv_discrete(pi, qi, PINNED_TV_CONVENTION)
+            delta = tv_discrete(pi, qi, TvConvention.SUP)
             db = density_bounds_discrete(pi, qi)
             assert (db.m, db.M) == pytest.approx((row["m"], row["M"]), rel=1e-15)
             assert row["upper"] == check_sandwich_same_dim(pi, qi).upper
             assert row["upper"] == pytest.approx(
-                pinsker.reverse_pinsker(delta, PINNED_TV_CONVENTION, db), rel=1e-15
+                pinsker.reverse_pinsker(delta, TvConvention.SUP, db), rel=1e-15
             )
 
     def test_coarser_grid_agrees(self):
         # the exhaustive scan at step 1e-3 runs in test_pinsker
-        assert oracles.tv_convention_scan(step=0.01) is PINNED_TV_CONVENTION
+        assert oracles.tv_convention_scan(step=0.01) is TvConvention.SUP
 
     def test_pairs_attain_the_bound_on_the_sup_reading_only(self):
         tol = oracle.ATTAINMENT_REL_TOL

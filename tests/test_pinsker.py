@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from divbounds import (
-    PINNED_TV_CONVENTION,
     AbsoluteContinuityError,
     AugmentedDensityBounds,
     DensityBounds,
@@ -40,9 +39,9 @@ def disc(*probs):
 
 
 def test_pinned_convention_matches_oracle():
-    # the named constant is only valid while the exhaustive scan agrees,
-    # and while U on it equals KL at the pairs that attain U
-    assert oracles.tv_convention_scan(step=1e-3) is PINNED_TV_CONVENTION
+    # U takes delta on the SUP scale: the exhaustive scan must agree, and
+    # U on it must equal KL at the pairs that attain U
+    assert oracles.tv_convention_scan(step=1e-3) is SUP
     assert all(row["ok"] for row in oracle.verify_tightness()["upper"])
 
 
@@ -141,8 +140,8 @@ class TestReversePinsker:
         k = min(len(wp), len(wq))
         p = disc(*(np.array(wp[:k], dtype=float) / sum(wp[:k])))
         q = disc(*(np.array(wq[:k], dtype=float) / sum(wq[:k])))
-        delta = tv_discrete(p, q, PINNED_TV_CONVENTION)
-        upper = reverse_pinsker(delta, PINNED_TV_CONVENTION, density_bounds_discrete(p, q))
+        delta = tv_discrete(p, q, SUP)
+        upper = reverse_pinsker(delta, SUP, density_bounds_discrete(p, q))
         assert kl_discrete(p, q) <= upper + 1e-9
 
 
@@ -220,32 +219,6 @@ def padded_rows(rng, n, width):
     return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
 
 
-def sum_edge_rows(seed):
-    """A pair on 2n points whose sums pass PROB_SUM_TOL at its top edge.
-
-    p holds its mass on the first n points and 2**-53 of q's on the rest,
-    and q the mirror image, so 2**-54 < m < 1 < M < inf. Each row is
-    shrunk by ulps until its sum passes, then raised ulp by ulp at random
-    points while it still does; 0.5 sum|p - q| can then round past
-    1 + 1e-12.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(32, 65))
-    a, b = rng.exponential(size=(2, n))
-    a *= (1.0 + 1e-12) / a.sum()
-    b *= (1.0 + 1e-12) / b.sum()
-    p = np.concatenate([a, b * 2.0**-53])
-    q = np.concatenate([a * 2.0**-53, b])
-    for row, big in ((p, slice(0, n)), (q, slice(n, 2 * n))):
-        while abs(row.sum() - 1.0) > PROB_SUM_TOL:
-            row[big] *= 1.0 - 2.0**-52
-        for j in big.start + rng.integers(n, size=4 * n):
-            row[j] = np.nextafter(row[j], 2.0)
-            if abs(row.sum() - 1.0) > PROB_SUM_TOL:
-                row[j] = np.nextafter(row[j], 0.0)
-    return p.tolist(), q.tolist()
-
-
 def edge_total(side):
     """The double farthest from 1 on ``side`` whose sum passes PROB_SUM_TOL."""
     total = 1.0 + side * PROB_SUM_TOL
@@ -283,7 +256,7 @@ AGREEMENT_ROWS = {
     ),
     # m - 1 rounds to -1, so phi must take log m, not log1p(m - 1)
     "m-below-2**-54": ([1e-20, 1.0 - 1e-20], [0.5, 0.5], True),
-    "delta-past-1+1e-12": (*sum_edge_rows(31), False),
+    "delta-past-1+1e-12": (*oracles.sum_edge_rows(31), True),
 }
 
 
@@ -425,7 +398,7 @@ class TestSandwichRows:
 
     def test_the_edge_rows_test_what_they_name(self):
         # the sum rows sit on either side of the tolerance, and the last row
-        # passes both sum checks while its delta passes convert_tv's range
+        # passes both sum checks while its delta rounds past 1 + 1e-12
         assert abs(TOP - 1.0) <= PROB_SUM_TOL < abs(math.nextafter(TOP, 2.0) - 1.0)
         assert abs(BOTTOM - 1.0) <= PROB_SUM_TOL < abs(math.nextafter(BOTTOM, 0.0) - 1.0)
         for kind, total in (

@@ -2,6 +2,7 @@
 arguments, exits 0 and prints output that parses."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -32,8 +33,19 @@ def _check_curve_table(stdout):
     assert deltas == sorted(deltas)
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _check_projection_demo(stdout):
     payload = json.loads(stdout)
+    # the defaults with --seed 7: the closed-form ATV of that pair
+    q = _load_script("projection_demo").rotated_gaussian([1.0, 2.25, 4.0], seed=7)
+    p = divbounds.Gaussian1D(mu=0.0, sigma2=0.25)
+    assert payload["atv_sup"] == divbounds.atv_gaussian(p, q, divbounds.TvConvention.SUP)
     assert payload["sandwich"]["all_hold"] is True
     # sigma^2 = 0.25 lies below the spectrum [1, 4], where kappa = 4
     assert 0.0 <= payload["witness_gap"] <= 1e-14 * payload["akl_closed_form"]
