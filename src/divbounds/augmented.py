@@ -54,13 +54,8 @@ class StiefelFrame(_Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, v: np.ndarray, b: np.ndarray):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "b", b)
-        self.__post_init__()
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.v, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
         d, n = v.shape
         if d > n:
             raise DomainError(f"frame must be wide (d <= n), got {d}x{n}")

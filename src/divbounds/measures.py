@@ -18,9 +18,9 @@ discrete input other than a list or tuple of plain numbers (any array,
 nested lists, strings), and the repr in the "negative probability"
 error. So the discrete, Gaussian and TV-convention code loads without it.
 
-The validating records here and in ``oracle`` and ``augmented`` derive
-from ``_Record``, an immutable ``__slots__`` class; results that only
-hold data are ``NamedTuple``s.
+The validating records here and in ``augmented`` derive from
+``_Record``, an immutable ``__slots__`` class; results that only hold
+data are ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -65,10 +65,14 @@ class TvConvention(Enum):
 
 
 def convert_tv(value: float, source: TvConvention, target: TvConvention) -> float:
-    """Rescale a TV value between conventions (exact factor of 2)."""
+    """Rescale a TV value between conventions (exact factor of 2).
+
+    The value must lie in [0, source.span], with 1e-12 of slack at the
+    top for a TV summed from rounded probabilities.
+    """
     if not math.isfinite(value):
         raise DomainError(f"TV value must be finite, got {value}")
-    if value < -1e-12 or value > source.span + 1e-12:
+    if value < 0 or value > source.span + 1e-12:
         raise DomainError(
             f"TV value {value} outside [0, {source.span}] for {source.value}"
         )
@@ -103,11 +107,9 @@ class _Record:
     ``_fields`` names the constructor's arguments in order; ``repr``,
     equality, ``hash`` and pickling go by them. A record holding arrays,
     which have no single truth value, takes back ``object``'s identity
-    equality. A subclass's ``__init__`` stores its arguments with
-    ``object.__setattr__`` and then calls ``__post_init__``, which checks
-    them and may store normalized values in their place. The checks live
-    in ``__post_init__`` because the benchmark's traced run wraps that
-    method to book construction to the defining module.
+    equality. A subclass's ``__init__`` checks its arguments and then
+    stores them, or their normalized forms, once with
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -150,9 +152,6 @@ class DiscreteDistribution(_Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, probs):
-        self.__post_init__(probs)
-
-    def __post_init__(self, probs):
         if type(probs) in (list, tuple) and _PLAIN_NUMBERS.issuperset(map(type, probs)):
             values = tuple(map(float, probs))
         else:
@@ -200,15 +199,12 @@ class Gaussian1D(_Record):
     __slots__ = _fields = ("mu", "sigma2")
 
     def __init__(self, mu: float, sigma2: float):
+        if not (math.isfinite(mu) and math.isfinite(sigma2)):
+            raise InvalidDistributionError("mu and sigma2 must be finite")
+        if not sigma2 > 0:
+            raise InvalidDistributionError(f"sigma2 must be positive, got {sigma2}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", sigma2)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
-            raise InvalidDistributionError("mu and sigma2 must be finite")
-        if not self.sigma2 > 0:
-            raise InvalidDistributionError(f"sigma2 must be positive, got {self.sigma2}")
 
     @property
     def sigma(self) -> float:
@@ -232,14 +228,9 @@ class GaussianND(_Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, nu: np.ndarray, sigma: np.ndarray):
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "sigma", sigma)
-        self.__post_init__()
-
-    def __post_init__(self):
         import numpy as np
-        nu = np.asarray(self.nu, dtype=float)
-        sig = np.asarray(self.sigma, dtype=float)
+        nu = np.asarray(nu, dtype=float)
+        sig = np.asarray(sigma, dtype=float)
         if nu.ndim != 1 or nu.size == 0:
             raise InvalidDistributionError("nu must be a nonempty 1-D vector")
         n = nu.size
@@ -298,21 +289,18 @@ class DensityBounds(_Record):
     __slots__ = _fields = ("m", "M")
 
     def __init__(self, m: float, M: float):
+        if not (math.isfinite(m) and M <= math.inf):
+            raise DomainError("density bounds must be finite (M may be inf)")
+        if m < 0:
+            raise DomainError(f"essential infimum must be >= 0, got {m}")
+        if m > 1.0 + 1e-12 or M < 1.0 - 1e-12:
+            raise DomainError(
+                f"density bounds must satisfy m <= 1 <= M, got ({m}, {M})"
+            )
+        if M < m:
+            raise DomainError(f"M < m: ({m}, {M})")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "M", M)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and self.M <= math.inf):
-            raise DomainError("density bounds must be finite (M may be inf)")
-        if self.m < 0:
-            raise DomainError(f"essential infimum must be >= 0, got {self.m}")
-        if self.m > 1.0 + 1e-12 or self.M < 1.0 - 1e-12:
-            raise DomainError(
-                f"density bounds must satisfy m <= 1 <= M, got ({self.m}, {self.M})"
-            )
-        if self.M < self.m:
-            raise DomainError(f"M < m: ({self.m}, {self.M})")
 
 
 Distribution = Union[DiscreteDistribution, Gaussian1D, GaussianND]

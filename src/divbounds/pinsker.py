@@ -173,8 +173,6 @@ def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> 
     scale first. m = 1 or M = 1 forces the pair to be identical, so
     delta must be 0 there and the result is 0.
     """
-    if not math.isfinite(delta) or delta < 0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
     return _checked_upper(convert_tv(delta, conv, TvConvention.SUP), bounds)
 
 

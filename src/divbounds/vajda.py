@@ -163,7 +163,7 @@ def curve_point_for_delta(
     delta_max(), and stuck at 1.21e-116 below delta ~ 1e-57.
     """
     d = convert_tv(delta, conv, TvConvention.VARIATIONAL)
-    if d < 0 or d >= 2.0:
+    if d >= 2.0:
         raise DomainError(
             f"delta must lie in [0, 2) on the variational scale, got {d}"
         )
@@ -238,7 +238,7 @@ def reid_lower_bound(
     singularities at the endpoints.
     """
     d = convert_tv(delta, conv, TvConvention.VARIATIONAL)
-    if d < 0 or d >= 2.0:
+    if d >= 2.0:
         raise DomainError(
             f"delta must lie in [0, 2) on the variational scale, got {d}"
         )

@@ -45,6 +45,21 @@ class TestStiefelFrame:
             StiefelFrame(v=np.eye(2), b=np.zeros(3))
 
 
+def test_array_records_keep_read_only_copies():
+    nu, sigma = np.array([0.5, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+    v, b = np.array([[0.6, 0.8]]), np.array([0.25])
+    q, frame = GaussianND(nu=nu, sigma=sigma), StiefelFrame(v=v, b=b)
+    stored = {"nu": q.nu, "sigma": q.sigma, "eigenvalues": q.eigenvalues,
+              "v": frame.v, "b": frame.b}
+    kept = {name: arr.copy() for name, arr in stored.items()}
+    for arr in (nu, sigma, v, b):
+        arr.fill(7.0)
+    for name, arr in stored.items():
+        np.testing.assert_array_equal(arr, kept[name])
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7.0
+
+
 class TestPushforward:
     def test_identity_frame_is_identity(self, q3):
         frame = StiefelFrame(v=np.eye(3), b=np.zeros(3))
@@ -432,13 +447,13 @@ class TestSearchProjectionDivergence:
         # search builds is its witness
         p = Gaussian1D(mu=0.0, sigma2=0.25)
         built = []
-        post_init = Gaussian1D.__post_init__
+        init = Gaussian1D.__init__
 
-        def counting(self):
+        def counting(self, mu, sigma2):
             built.append(self)
-            post_init(self)
+            init(self, mu, sigma2)
 
-        monkeypatch.setattr(Gaussian1D, "__post_init__", counting)
+        monkeypatch.setattr(Gaussian1D, "__init__", counting)
         result = search_projection_divergence(p, q3, "kl", budget=1000, seed=42)
         assert built == [result.witness]
 

@@ -401,6 +401,12 @@ class TestConvertTv:
         with pytest.raises(DomainError):
             convert_tv(-0.1, VAR, SUP)
 
+    def test_no_negative_value_passes(self):
+        # no slack below 0: a public function never returns a negative TV
+        with pytest.raises(DomainError, match=r"TV value -5e-13 outside \[0, 1.0\] for sup"):
+            convert_tv(-5e-13, SUP, VAR)
+        assert convert_tv(-0.0, SUP, VAR) == 0.0
+
     @given(st.floats(0, 1))
     def test_round_trip_exact(self, value):
         assert convert_tv(convert_tv(value, SUP, VAR), VAR, SUP) == value
