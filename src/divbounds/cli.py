@@ -238,7 +238,7 @@ def _cmd_sandwich(args) -> int:
         raise DivBoundsError(
             "sandwich needs two discrete inputs, or gaussian1d --p with gaussiannd --q"
         )
-    print(report.to_json())
+    print(dumps(report.as_dict()))
     return 0
 
 

@@ -40,6 +40,8 @@ from .errors import (
 )
 
 PROB_SUM_TOL = 1e-12
+# how far DensityBounds lets m exceed 1, and 1 exceed M (see its docstring)
+_SUM_RATIO_SLACK = (1.0 + PROB_SUM_TOL) / (1.0 - PROB_SUM_TOL) * (1.0 + 2.0**-52)
 SYMMETRY_TOL = 1e-12
 GAUSS_TV_ABS_TOL = 1e-13
 _SQRT_HALF = math.sqrt(0.5)
@@ -280,10 +282,13 @@ class GaussianND(_Record):
 class DensityBounds(_Record):
     """Essential infimum m and supremum M of a relative density dP/dQ.
 
-    Because dP/dQ integrates to 1 under Q, m <= 1 <= M always. m = 0 is
-    representable (P vanishing on part of Q's support) but is rejected by
-    the reverse-Pinsker operations, which need m > 0. So is M = +inf (a
-    ratio past the largest double), which ``reverse_pinsker`` rejects.
+    Because dP/dQ integrates to 1 under Q, m <= 1 <= M, up to the sums:
+    two probability vectors may each sum to within PROB_SUM_TOL of 1, so m
+    may exceed 1, and 1 exceed M, by the factor (1 + PROB_SUM_TOL) / (1 -
+    PROB_SUM_TOL) and an ulp. m = 0 is representable (P vanishing on part
+    of Q's support) but is rejected by the reverse-Pinsker operations,
+    which need m > 0. So is M = +inf (a ratio past the largest double),
+    which ``reverse_pinsker`` rejects.
     """
 
     __slots__ = _fields = ("m", "M")
@@ -293,7 +298,7 @@ class DensityBounds(_Record):
             raise DomainError("density bounds must be finite (M may be inf)")
         if m < 0:
             raise DomainError(f"essential infimum must be >= 0, got {m}")
-        if m > 1.0 + 1e-12 or M < 1.0 - 1e-12:
+        if m > _SUM_RATIO_SLACK or M < 1.0 / _SUM_RATIO_SLACK:
             raise DomainError(
                 f"density bounds must satisfy m <= 1 <= M, got ({m}, {M})"
             )

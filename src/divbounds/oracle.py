@@ -100,6 +100,11 @@ def _draw_block(rng, n: int):
     return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
 
 
+def _report_row(rows: SandwichReport, i: int) -> SandwichReport:
+    # pair i of a batch, as floats and a bool
+    return SandwichReport._make(column[i].item() for column in rows)
+
+
 def _drawn_pair(p: np.ndarray, q: np.ndarray, k: np.ndarray, i: int) -> tuple:
     # row i on the support it was drawn on, without the padding
     return tuple(p[i, : k[i]].tolist()), tuple(q[i, : k[i]].tolist())
@@ -120,18 +125,13 @@ def fuzz_sandwich(n_trials: int, seed: int) -> FuzzReport:
     for start in range(0, n_trials, _FUZZ_BLOCK):
         k, p, q = _draw_block(rng, min(_FUZZ_BLOCK, n_trials - start))
         rows = check_sandwich_rows(p, q)
-        links = (
-            rows.vajda_lb - rows.poly_lb,
-            rows.divergence - rows.vajda_lb,
-            rows.upper - rows.divergence,
-        )
-        for link, gaps in enumerate(links):
+        for link, gaps in enumerate(rows.gaps):
             i = int(np.argmin(gaps))
             if margins[link] is None or gaps[i] < margins[link].value:
                 margins[link] = FuzzMargin(float(gaps[i]), *_drawn_pair(p, q, k, i))
         for i in np.flatnonzero(~rows.all_hold):
             violations.append(
-                SandwichViolation(*_drawn_pair(p, q, k, i), report=rows.report(i))
+                SandwichViolation(*_drawn_pair(p, q, k, i), report=_report_row(rows, i))
             )
     return FuzzReport(
         violations=tuple(violations),
@@ -172,8 +172,8 @@ def verify_tightness() -> dict:
     """
     rows = check_sandwich_rows(*_attaining_pairs())
     with np.errstate(all="ignore"):  # a broken bound of 0 or nan fails its row
-        lo = ((rows.divergence - rows.vajda_lb) / rows.vajda_lb).tolist()
-        up = ((rows.upper - rows.divergence) / rows.upper).tolist()
+        _, lo, up = rows.gaps
+        lo, up = (lo / rows.vajda_lb).tolist(), (up / rows.upper).tolist()
     kl, lb, ub = rows.divergence.tolist(), rows.vajda_lb.tolist(), rows.upper.tolist()
     n, tol = len(VERIFY_DELTAS), ATTAINMENT_REL_TOL
     lower = [

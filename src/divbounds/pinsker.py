@@ -20,6 +20,10 @@ other. ``_upper`` is the one place U is formed, with delta on that scale;
 SUP delta, and ``divbounds verify`` checks it at the attaining pairs
 (``oracle.verify_tightness``).
 
+Every checker returns a ``SandwichReport``: floats for one pair, 1-D
+arrays for a batch. Its ``gaps`` are the chain's three links, vajda -
+poly, KL - vajda and U - KL; the verdict ``all_hold``, the fuzz margins
+and the attainment gaps of ``divbounds verify`` all read them.
 ``check_sandwich_same_dim`` holds every edge rule of the discrete chain.
 The batched ``check_sandwich_rows`` computes only plain rows as arrays:
 both sums within PROB_SUM_TOL of 1, no negative or nan entry, p
@@ -49,16 +53,10 @@ from .measures import (
     kl_discrete,
     tv_discrete,
 )
-from .serialize import dumps
-from .vajda import (
-    _poly,
-    delta_max,
-    poly_lower_bound,
-    vajda_lower_bound,
-    vajda_lower_bound_array,
-)
+from .vajda import _poly, delta_max, vajda_lower_bound, vajda_lower_bound_array
 
-# Slack for the reported inequality chain, absorbing float rounding only.
+# Slack for the reported inequality chain, absorbing float rounding only:
+# the verdict holds when every one of a report's ``gaps`` is >= -REPORT_TOL.
 REPORT_TOL = 1e-9
 
 
@@ -75,7 +73,7 @@ class AugmentedDensityBounds(NamedTuple):
 
 
 class SandwichReport(NamedTuple):
-    """Outcome of a polynomial <= curve <= divergence <= upper check."""
+    """Outcome of a poly <= curve <= divergence <= upper check; arrays for a batch."""
 
     poly_lb: float
     vajda_lb: float
@@ -86,54 +84,31 @@ class SandwichReport(NamedTuple):
     def as_dict(self) -> dict:
         return self._asdict()
 
-    def to_json(self) -> str:
-        return dumps(self.as_dict())
+    @property
+    def gaps(self) -> tuple:
+        """The links (vajda - poly, KL - vajda, upper - KL); < 0 where one fails."""
+        return _gaps(*self[:4])
 
 
-class SandwichRows(NamedTuple):
-    """The bound chains of many discrete pairs, one array entry per pair."""
-
-    poly_lb: np.ndarray
-    vajda_lb: np.ndarray
-    divergence: np.ndarray
-    upper: np.ndarray
-    all_hold: np.ndarray
-
-    def report(self, i: int) -> SandwichReport:
-        """Pair ``i`` as a SandwichReport."""
-        return SandwichReport(
-            poly_lb=float(self.poly_lb[i]),
-            vajda_lb=float(self.vajda_lb[i]),
-            divergence=float(self.divergence[i]),
-            upper=float(self.upper[i]),
-            all_hold=bool(self.all_hold[i]),
-        )
+def _gaps(poly_lb, vajda_lb, divergence, upper):
+    # the one place the chain's links are formed; floats and arrays alike
+    return vajda_lb - poly_lb, divergence - vajda_lb, upper - divergence
 
 
-def _chain_holds(poly_lb, vajda_lb, divergence, upper):
+def _sandwich_report(delta_var, divergence, upper, xp=math) -> SandwichReport:
+    # ``xp`` is math for one pair, numpy for a batch. Near-disjoint pairs can
+    # push delta past the curve's resolvable range; the curve is increasing,
+    # so its value at the range end is still a valid (conservative) lower
+    # bound and keeps the checkers total.
+    poly = _poly(delta_var)
+    if xp is math:
+        vajda = vajda_lower_bound(min(delta_var, delta_max()))
+    else:
+        vajda = vajda_lower_bound_array(xp.minimum(delta_var, delta_max()))
     # written with & so that it serves floats and arrays alike
-    return (
-        (poly_lb <= vajda_lb + REPORT_TOL)
-        & (vajda_lb <= divergence + REPORT_TOL)
-        & (divergence <= upper + REPORT_TOL)
-    )
-
-
-def _sandwich_report(
-    delta_var: float, divergence: float, upper: float
-) -> SandwichReport:
-    poly = poly_lower_bound(delta_var)
-    # near-disjoint pairs can push delta past the curve's resolvable range;
-    # the curve is increasing, so its value at the range end is still a
-    # valid (conservative) lower bound and keeps the checkers total
-    vajda = vajda_lower_bound(min(delta_var, delta_max()))
-    return SandwichReport(
-        poly_lb=poly,
-        vajda_lb=vajda,
-        divergence=divergence,
-        upper=upper,
-        all_hold=_chain_holds(poly, vajda, divergence, upper),
-    )
+    low, mid, high = _gaps(poly, vajda, divergence, upper)
+    holds = (low >= -REPORT_TOL) & (mid >= -REPORT_TOL) & (high >= -REPORT_TOL)
+    return SandwichReport(poly, vajda, divergence, upper, holds)
 
 
 def _phi(x, xp=math):
@@ -211,19 +186,21 @@ def check_sandwich_same_dim(
     return _sandwich_report(2.0 * delta_sup, kl_discrete(p, q), upper)
 
 
-def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
+def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
     """``check_sandwich_same_dim`` for every row pair of two (n, k) arrays.
 
-    Row i of ``p`` and row i of ``q`` form one discrete pair; zero padding
-    in both rows changes none of its quantities. Plain rows (see the module
-    docstring) are computed as arrays. On them, for k < 8, poly equals the
-    scalar value, KL agrees within ``kl_discrete``'s contract (np.log and
-    math.log round differently), the curve within 1e-14 relative from
-    delta = 1e-40 up (below ~1e-57 the scalar curve floors at 1.21e-116,
-    the batched one is delta^2/2), and U to a few ulps of the two phi
-    values it subtracts. Every other row is a scalar check, whose report
-    it takes bit for bit and whose error it raises as ``row i: <message>``
-    for the first row that fails.
+    Returns one ``SandwichReport`` whose fields, and whose ``gaps``, are 1-D
+    arrays with entry i for pair i. Row i of ``p`` and row i of ``q`` form
+    one discrete pair; zero padding in both rows changes none of its
+    quantities. Plain rows (see the module docstring) are computed as
+    arrays. On them, for k < 8, poly equals the scalar value, KL agrees
+    within ``kl_discrete``'s contract (np.log and math.log round
+    differently), the curve within 1e-14 relative from delta = 1e-40 up
+    (below ~1e-57 the scalar curve floors at 1.21e-116, the batched one is
+    delta^2/2), and U to a few ulps of the two phi values it subtracts.
+    Every other row is a scalar check, whose report it takes bit for bit and
+    whose error it raises as ``row i: <message>`` for the first row that
+    fails.
     """
     import numpy as np
     # row sums in the order of ``measures._sum``, which needs C order
@@ -251,11 +228,7 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichRows:
         divergence = (p * log_ratio).sum(axis=1)
     divergence = np.where(divergence > 0, divergence, 0.0)
     delta_var = np.where(plain, 2.0 * delta_sup, 0.0)
-    poly = _poly(delta_var)
-    vajda = vajda_lower_bound_array(np.minimum(delta_var, delta_max()))
-    rows = SandwichRows(
-        poly, vajda, divergence, upper, _chain_holds(poly, vajda, divergence, upper)
-    )
+    rows = _sandwich_report(delta_var, divergence, upper, np)
     for i in np.flatnonzero(~plain):
         try:
             report = check_sandwich_same_dim(

@@ -248,7 +248,23 @@ def test_sandwich_discrete(capsys):
     p = DiscreteDistribution(np.array([0.75, 0.25]))
     q = DiscreteDistribution(np.array([0.5, 0.5]))
     report = check_sandwich_same_dim(p, q)
-    assert payload == json.loads(report.to_json())
+    assert payload == report.as_dict()
+    assert payload["all_hold"] is True
+
+
+def test_sandwich_on_sums_on_opposite_sides_of_1(capsys):
+    # both inputs pass the sum check, so their density ratio, m = M, may
+    # exceed 1 by about twice PROB_SUM_TOL; U is 0 and KL that ratio's log
+    p = '{"type":"discrete","probs":[0.5000000000003,0.5000000000003]}'
+    q = '{"type":"discrete","probs":[0.4999999999997,0.4999999999997]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", p, "--q", q)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    hi = DiscreteDistribution([0.5000000000003, 0.5000000000003])
+    lo = DiscreteDistribution([0.4999999999997, 0.4999999999997])
+    report = check_sandwich_same_dim(hi, lo)
+    assert payload == report.as_dict()
+    assert payload["upper"] == 0.0
     assert payload["all_hold"] is True
 
 
@@ -331,7 +347,7 @@ def test_sandwich_augmented_with_estimated_atv(capsys):
     )
     atv = atv_gaussian(p, q, TvConvention.SUP)
     report = check_sandwich_augmented(p, q, bounds, atv=atv, conv=TvConvention.SUP)
-    assert payload == json.loads(report.to_json())
+    assert payload == report.as_dict()
     assert payload["all_hold"] is True
     assert payload["divergence"] == gaussian_akl(p, q)
     # the ATV comes from atv_gaussian, whose report is the same in either

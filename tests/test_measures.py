@@ -27,7 +27,7 @@ from divbounds import (
     tv_discrete,
     tv_gaussian_1d,
 )
-from divbounds.measures import GAUSS_TV_ABS_TOL, density_crossings
+from divbounds.measures import GAUSS_TV_ABS_TOL, PROB_SUM_TOL, density_crossings
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -365,6 +365,26 @@ class TestDensityBounds:
     def test_bounds_type_rejects_m_above_one(self):
         with pytest.raises(DomainError):
             DensityBounds(m=1.5, M=2.0)
+
+    def test_sums_on_opposite_sides_of_one_give_bounds(self):
+        # each vector passes the sum check, one above 1 and one below, so
+        # m = M lies past 1 by about twice PROB_SUM_TOL
+        hi, lo = 0.5000000000003, 0.4999999999997
+        assert density_bounds_discrete(disc(hi, hi), disc(lo, lo)) == DensityBounds(
+            m=hi / lo, M=hi / lo
+        )
+        assert density_bounds_discrete(disc(lo, lo), disc(hi, hi)) == DensityBounds(
+            m=lo / hi, M=lo / hi
+        )
+
+    def test_bounds_type_slack_is_the_ratio_of_two_sum_edges(self):
+        slack = (1.0 + PROB_SUM_TOL) / (1.0 - PROB_SUM_TOL) * (1.0 + 2.0**-52)
+        assert DensityBounds(m=slack, M=slack).m == slack
+        assert DensityBounds(m=1.0 / slack, M=1.0 / slack).M == 1.0 / slack
+        with pytest.raises(DomainError, match="m <= 1 <= M"):
+            DensityBounds(m=math.nextafter(slack, 2.0), M=2.0)
+        with pytest.raises(DomainError, match="m <= 1 <= M"):
+            DensityBounds(m=0.5, M=math.nextafter(1.0 / slack, 0.0))
 
     def test_an_overflowing_ratio_gives_an_infinite_supremum(self):
         got = density_bounds_discrete(disc(0.5, 0.5), disc(5e-324, 1.0))

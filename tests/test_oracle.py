@@ -344,7 +344,7 @@ class TestRunVerify:
         assert p.shape == q.shape == (30, 2)
         rows = pinsker.check_sandwich_rows(p, q)
         for i, row in enumerate(tightness["lower"] + tightness["upper"]):
-            report = rows.report(i)
+            report = oracle._report_row(rows, i)
             assert row["witness_kl"] == report.divergence
             assert row.get("vajda_lb", report.vajda_lb) == report.vajda_lb
             assert row.get("upper", report.upper) == report.upper

@@ -28,7 +28,8 @@ from divbounds import (
 )
 from divbounds.measures import PROB_SUM_TOL
 from divbounds import oracle, pinsker
-from divbounds.pinsker import SandwichRows, check_sandwich_rows
+from divbounds.pinsker import SandwichReport, check_sandwich_rows
+from divbounds.serialize import dumps
 
 SUP = TvConvention.SUP
 VAR = TvConvention.VARIATIONAL
@@ -195,10 +196,20 @@ class TestSandwichSameDim:
 
     def test_json_shape(self):
         report = check_sandwich_same_dim(disc(0.75, 0.25), disc(0.5, 0.5))
-        payload = json.loads(report.to_json())
+        payload = json.loads(dumps(report.as_dict()))
         assert list(payload) == ["poly_lb", "vajda_lb", "divergence", "upper", "all_hold"]
         assert payload["all_hold"] is True
         assert payload["divergence"] == report.divergence
+
+    def test_gaps_of_the_worked_example(self):
+        # the pair's density ratio takes only m = 0.5 and M = 1.5, so it
+        # attains U and the last link is rounding
+        report = check_sandwich_same_dim(disc(0.75, 0.25), disc(0.5, 0.5))
+        low, mid, high = report.gaps
+        assert low == report.vajda_lb - report.poly_lb >= 0.0
+        assert mid == report.divergence - report.vajda_lb > 1e-3
+        assert high == report.upper - report.divergence
+        assert abs(high) <= 1e-15
 
     def test_near_disjoint_pair_stays_total(self):
         # delta beyond the curve's resolvable range falls back to a
@@ -254,13 +265,76 @@ AGREEMENT_ROWS = {
     "density-bounds-both-above-1": (
         [0.5 + 3e-13, 0.5 + 3e-13], [0.5 - 3e-13, 0.5 - 3e-13], False
     ),
+    # sums at opposite ends of the tolerance: m = M = TOP / BOTTOM > 1
+    "sums-at-opposite-tol-ends": ([TOP / 2, TOP / 2], [BOTTOM / 2, BOTTOM / 2], False),
     # m - 1 rounds to -1, so phi must take log m, not log1p(m - 1)
     "m-below-2**-54": ([1e-20, 1.0 - 1e-20], [0.5, 0.5], True),
     "delta-past-1+1e-12": (*oracles.sum_edge_rows(31), True),
 }
 
 
+def edge_entry(k, side):
+    """The double farthest from 1/k on ``side`` whose k copies pass PROB_SUM_TOL."""
+    a = (1.0 + side * PROB_SUM_TOL) / k
+    while abs(np.sum(np.full(k, a)) - 1.0) > PROB_SUM_TOL:
+        a = math.nextafter(a, 0.0 if side > 0 else 1.0)
+    while abs(np.sum(np.full(k, math.nextafter(a, side * 2.0))) - 1.0) <= PROB_SUM_TOL:
+        a = math.nextafter(a, side * 2.0)
+    return a
+
+
 class TestSandwichRows:
+    def test_a_batch_is_one_report_of_arrays(self):
+        p = np.array([[0.75, 0.25], [0.3, 0.7], [0.5, 0.5]])
+        q = np.array([[0.5, 0.5], [0.6, 0.4], [0.5, 0.5]])
+        rows = check_sandwich_rows(p, q)
+        assert type(rows) is SandwichReport
+        for column in (*rows, *rows.gaps):
+            assert isinstance(column, np.ndarray) and column.shape == (3,)
+        assert rows.all_hold.dtype == bool
+
+    def test_gaps_of_a_batch_are_its_rows_gaps(self):
+        # the worked example, as a plain row and next to a fallback row
+        p = np.array([[0.75, 0.25], [0.5, 0.5]])
+        q = np.array([[0.5, 0.5], [0.5, 0.5]])
+        rows = check_sandwich_rows(p, q)
+        low, mid, high = rows.gaps
+        assert np.array_equal(low, rows.vajda_lb - rows.poly_lb)
+        assert np.array_equal(mid, rows.divergence - rows.vajda_lb)
+        assert np.array_equal(high, rows.upper - rows.divergence)
+        want = check_sandwich_same_dim(disc(0.75, 0.25), disc(0.5, 0.5)).gaps
+        assert low[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert mid[0] == pytest.approx(want[1], rel=1e-12)
+        assert abs(high[0]) <= 1e-15
+        assert (low[1], mid[1], high[1]) == (0.0, 0.0, 0.0)
+        for i in range(2):
+            assert oracle._report_row(rows, i).gaps == (low[i], mid[i], high[i])
+
+    @pytest.mark.parametrize(
+        "kind", ["density-bounds-both-above-1", "sums-at-opposite-tol-ends"]
+    )
+    def test_sums_on_opposite_sides_of_1_give_a_report(self, kind):
+        # both sums pass PROB_SUM_TOL, so the ratio of the two may put m
+        # above 1: each checker reports, and U = 0 since m = M
+        a, b, _ = AGREEMENT_ROWS[kind]
+        want = check_sandwich_same_dim(disc(*a), disc(*b))
+        got = check_sandwich_rows(np.array([a]), np.array([b]))
+        assert oracle._report_row(got, 0) == want
+        assert (want.upper, want.all_hold) == (0.0, True)
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    @pytest.mark.parametrize("k", [2, 3, 6, 10])
+    def test_proportional_pairs_at_the_two_sum_edges_give_reports(self, k, side):
+        p, q = [edge_entry(k, side)] * k, [edge_entry(k, -side)] * k
+        for row, s in ((p, side), (q, -side)):
+            assert 0.99 * PROB_SUM_TOL < s * (np.sum(row) - 1.0) <= PROB_SUM_TOL
+        db = density_bounds_discrete(disc(*p), disc(*q))
+        assert db.m == db.M and abs(db.m - 1.0) > 1.99e-12
+        want = check_sandwich_same_dim(disc(*p), disc(*q))
+        assert want.upper == 0.0 and want.all_hold
+        got = check_sandwich_rows(np.array([p]), np.array([q]))
+        assert oracle._report_row(got, 0) == want
+
     def test_rows_match_scalar_checker(self):
         k, p, q = padded_rows(np.random.default_rng(11), 3000, 6)
         specials = [
@@ -281,7 +355,7 @@ class TestSandwichRows:
         for i in range(len(k)):
             pi, qi = disc(*p[i, : k[i]]), disc(*q[i, : k[i]])
             want = check_sandwich_same_dim(pi, qi)
-            got = rows.report(i)
+            got = oracle._report_row(rows, i)
             assert got.poly_lb == want.poly_lb
             assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
             assert got.all_hold == want.all_hold
@@ -302,7 +376,7 @@ class TestSandwichRows:
         p = np.array([[0.75, 0.25], [0.5, 0.5]])
         q = np.array([[0.5, 0.5], [0.5, 0.5]])
         rows = check_sandwich_rows(p, q)
-        got = rows.report(0)
+        got = oracle._report_row(rows, 0)
         want = check_sandwich_same_dim(disc(0.75, 0.25), disc(0.5, 0.5))
         assert (got.poly_lb, got.divergence, got.all_hold) == (
             want.poly_lb,
@@ -312,7 +386,7 @@ class TestSandwichRows:
         assert got.vajda_lb == pytest.approx(want.vajda_lb, rel=1e-14, abs=0.0)
         assert got.upper == pytest.approx(want.upper, rel=1e-13)
         assert type(got.divergence) is float and type(got.all_hold) is bool
-        assert rows.report(1).upper == 0.0
+        assert oracle._report_row(rows, 1).upper == 0.0
 
     def test_an_overflowing_density_ratio_agrees_with_the_scalar_checker(self):
         # 0.5 / 5e-324 overflows, without a warning: M and U are inf, and
@@ -321,7 +395,7 @@ class TestSandwichRows:
         want = check_sandwich_same_dim(disc(0.5, 0.5), disc(5e-324, 1.0))
         assert want.divergence == 371.5268887801307
         assert (want.upper, want.all_hold) == (math.inf, True)
-        got = rows.report(0)
+        got = oracle._report_row(rows, 0)
         assert (got.poly_lb, got.divergence, got.upper, got.all_hold) == (
             want.poly_lb,
             want.divergence,
@@ -380,7 +454,7 @@ class TestSandwichRows:
             assert str(caught.value) == f"row 0: {exc}"
             assert not plain
             return
-        got = check_sandwich_rows(np.array([a]), np.array([b])).report(0)
+        got = oracle._report_row(check_sandwich_rows(np.array([a]), np.array([b])), 0)
         assert len(calls) == (0 if plain else 1)
         if not plain:
             assert got == want
@@ -428,11 +502,13 @@ class TestSandwichRows:
             p[i, : len(a)], q[i, : len(b)] = a, b
         got = check_sandwich_rows(p, q)
         for i, (a, b) in zip(rows, accepted):
-            assert got.report(i) == check_sandwich_same_dim(disc(*a), disc(*b))
+            want = check_sandwich_same_dim(disc(*a), disc(*b))
+            assert oracle._report_row(got, i) == want
         for i in set(range(len(k))) - set(rows):
             want = check_sandwich_same_dim(disc(*p[i, : k[i]]), disc(*q[i, : k[i]]))
-            assert got.report(i).divergence == pytest.approx(want.divergence, rel=1e-12)
-            assert got.report(i).all_hold == want.all_hold
+            report = oracle._report_row(got, i)
+            assert report.divergence == pytest.approx(want.divergence, rel=1e-12)
+            assert report.all_hold == want.all_hold
 
     def test_first_bad_row_wins(self):
         # row 0 is not absolutely continuous, row 1 sums to 1.1: the
@@ -455,7 +531,7 @@ class TestSandwichRows:
         k, p, q = padded_rows(np.random.default_rng(8), 500, 20)
         want = check_sandwich_rows(p, q)
         got = check_sandwich_rows(np.asfortranarray(p), q.T.copy().T)
-        for name in SandwichRows._fields:
+        for name in SandwichReport._fields:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("row, total", [([0.5, 0.6], "1.1"), ([1e308, 1e308], "inf")])
