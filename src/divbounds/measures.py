@@ -89,7 +89,9 @@ def _sum(terms) -> float:
     numpy adds fewer than 8 terms left to right, up to 128 terms in 8
     interleaved accumulators, and more by splitting at a multiple of 8
     near the middle, all onto an initial 0.0. Following that order gives
-    the same bits as ``np.sum`` on the same terms.
+    the same bits as ``np.sum`` on the same terms. The rows of a 2-D array
+    are terms too: each column is then summed in that order, the one
+    numpy's row sums take on the transpose.
     """
     n = len(terms)
     if n < 8:

@@ -25,6 +25,10 @@ VERIFY_MAX_SUPPORT = 6
 
 # trials drawn and checked per array pass of fuzz_sandwich; bounds its memory
 _FUZZ_BLOCK = 8192
+# the fuzz stream: SplitMix64's increment, and the outputs each trial owns
+# (its support size, then p's and q's exponentials)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_DRAWS_PER_TRIAL = 1 + 2 * VERIFY_MAX_SUPPORT
 # the density bounds (m, M) of the pairs that attain the upper bound, and
 # how far a bound may fall from KL at the pairs that attain it, relative:
 # kl_discrete's contract allows 2.9e-13 on these pairs, the TV, phi and the
@@ -84,20 +88,52 @@ class FuzzReport(NamedTuple):
         return "\n".join(dumps(v.as_dict()) for v in self.violations)
 
 
-def _draw_block(rng, n: int):
-    """n pairs on supports of 2..VERIFY_MAX_SUPPORT points, zero-padded to it."""
+def _mix(z):
+    # SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014), in place
+    # on a uint64 array: a bijection of uint64, whose products wrap mod 2**64
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(seed: int, first: int, count: int) -> np.ndarray:
+    """Outputs first..first+count-1 of seed's SplitMix64 stream, in (0, 1).
+
+    Output j is _mix(key + (j + 1) * gamma) mod 2**64, read as a multiple
+    of 2**-52 plus 2**-53, so log u is finite and nonzero. The key folds
+    every 64-bit word of the seed, low first, through _mix: seeds below
+    2**64 get distinct keys, and the mixing keeps any two keys from being a
+    few multiples of gamma apart, which would make one stream a shifted
+    copy of the other.
+    """
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix((key ^ np.uint64(seed >> shift & 0xFFFF_FFFF_FFFF_FFFF)) + _GAMMA)
+    z = _mix(np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA + key)
+    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
+def _draw_block(seed: int, first: int, n: int):
+    """Trials first..first+n-1: support sizes k, and p and q as (n, width).
+
+    Trial i is outputs _DRAWS_PER_TRIAL * i onwards of ``_uniforms``, so a
+    pair depends on (seed, i) alone: the first output picks k uniformly in
+    2..VERIFY_MAX_SUPPORT, the next 2 * width are -log u, exponentials, and
+    p and q normalize the first k of each half (uniform on the simplex) and
+    are zero past k. The draws are laid out one row per output and one
+    column per trial, and p and q are transposed views of that layout.
+    """
     width = VERIFY_MAX_SUPPORT
-    k = rng.integers(2, width + 1, size=n)
-    used = np.arange(width) < k[:, None]
-    used = np.concatenate([used, used], axis=1)
-    draws = rng.exponential(size=(n, 2 * width))
-    redraw = np.any((draws <= 0) & used, axis=1)
-    while redraw.any():
-        draws[redraw] = rng.exponential(size=(int(redraw.sum()), 2 * width))
-        redraw = np.any((draws <= 0) & used, axis=1)
-    draws = np.where(used, draws, 0.0)
-    p, q = draws[:, :width], draws[:, width:]
-    return k, p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)
+    u = _uniforms(seed, _DRAWS_PER_TRIAL * first, _DRAWS_PER_TRIAL * n)
+    u = np.ascontiguousarray(u.reshape(n, _DRAWS_PER_TRIAL).T)
+    k = 2 + (u[0] * (width - 1)).astype(np.intp)
+    pq = -np.log(u[1:]).reshape(2, width, n)
+    pq *= np.arange(width)[:, None] < k
+    pq /= pq.sum(axis=1, keepdims=True)
+    return k, pq[0].T, pq[1].T
 
 
 def _report_row(rows: SandwichReport, i: int) -> SandwichReport:
@@ -113,17 +149,20 @@ def _drawn_pair(p: np.ndarray, q: np.ndarray, k: np.ndarray, i: int) -> tuple:
 def fuzz_sandwich(n_trials: int, seed: int) -> FuzzReport:
     """Random strictly-positive pairs pushed through the sandwich checker.
 
-    Supports are drawn uniformly in 2..VERIFY_MAX_SUPPORT, probabilities
-    by normalizing exponential draws (uniform on the simplex). Trials are
-    drawn and checked in blocks of arrays. Violations are collected, not
-    raised; the expected count is zero.
+    Trial i draws its support size uniformly in 2..VERIFY_MAX_SUPPORT and
+    its probabilities by normalizing exponential draws (uniform on the
+    simplex), from its own outputs of the seed's SplitMix64 stream
+    (``_draw_block``): a pair depends on the seed and i alone, not on the
+    block size, and numpy.random is never loaded. Trials are drawn and
+    checked _FUZZ_BLOCK at a time, as transposed views of one column per
+    trial, which ``check_sandwich_rows`` reduces without a copy.
+    Violations are collected, not raised; the expected count is zero.
     """
     n_trials, seed = _integer("n_trials", n_trials, 1), _integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
     violations = []
     margins = [None, None, None]
-    for start in range(0, n_trials, _FUZZ_BLOCK):
-        k, p, q = _draw_block(rng, min(_FUZZ_BLOCK, n_trials - start))
+    for first in range(0, n_trials, _FUZZ_BLOCK):
+        k, p, q = _draw_block(seed, first, min(_FUZZ_BLOCK, n_trials - first))
         rows = check_sandwich_rows(p, q)
         for link, gaps in enumerate(rows.gaps):
             i = int(np.argmin(gaps))

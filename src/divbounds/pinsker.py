@@ -10,8 +10,8 @@ phi is increasing, so U > 0 whenever m < 1 < M. The bound is attained:
 the two-point pair whose density ratio takes exactly the values m and M
 has KL equal to U, because mass moving up contributes at most
 phi(M) * (r - 1) of divergence per unit of total variation and mass
-moving down removes at least phi(m) * (1 - r). When m = 1 or M = 1 the
-pair is forced to be identical and U degenerates to 0.
+moving down removes at least phi(m) * (1 - r). When m = 1, M = 1 or
+m = M the pair is forced to be identical and U degenerates to 0.
 
 That attainment settles the scale on which delta enters the formula: KL
 equals U at such pairs on the SUP reading of delta, and half of U on the
@@ -48,6 +48,7 @@ from .measures import (
     Gaussian1D,
     GaussianND,
     TvConvention,
+    _sum,
     convert_tv,
     density_bounds_discrete,
     kl_discrete,
@@ -129,7 +130,7 @@ def _checked_upper(delta_sup: float, bounds: DensityBounds) -> float:
         raise DomainError(
             f"reverse Pinsker needs a positive essential infimum, got m = {bounds.m}"
         )
-    if bounds.m == 1.0 or bounds.M == 1.0:
+    if bounds.m == 1.0 or bounds.M == 1.0 or bounds.m == bounds.M:
         if delta_sup != 0.0:
             raise DomainError(
                 f"m = {bounds.m}, M = {bounds.M} force identical measures, "
@@ -145,8 +146,9 @@ def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> 
     """Upper bound on KL at total variation ``delta`` given density bounds.
 
     Evaluates delta * (phi(M) - phi(m)) with delta converted to the SUP
-    scale first. m = 1 or M = 1 forces the pair to be identical, so
-    delta must be 0 there and the result is 0.
+    scale first. m = 1, M = 1 or m = M forces the pair to be identical
+    (two normalized measures cannot have a constant density ratio other
+    than 1), so delta must be 0 there and the result is 0.
     """
     return _checked_upper(convert_tv(delta, conv, TvConvention.SUP), bounds)
 
@@ -178,9 +180,13 @@ def check_sandwich_same_dim(
     delta_sup = tv_discrete(p, q, TvConvention.SUP)
     db = density_bounds_discrete(p, q)
     # a ratio past the largest double leaves U unbounded, unless m = 1
-    # claims identical measures, which reverse_pinsker rejects
+    # claims identical measures, which reverse_pinsker rejects. A constant
+    # ratio off 1 is a proportional pair, one measure up to the sums'
+    # slack: U is 0, and the delta that slack leaves is no error
     if db.M == math.inf and db.m != 1.0:
         upper = math.inf
+    elif db.m == db.M != 1.0:
+        upper = 0.0
     else:
         upper = _checked_upper(delta_sup, db)
     return _sandwich_report(2.0 * delta_sup, kl_discrete(p, q), upper)
@@ -201,38 +207,45 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
     Every other row is a scalar check, whose report it takes bit for bit and
     whose error it raises as ``row i: <message>`` for the first row that
     fails.
+
+    The kernel works on the transposes, one row per support point and one
+    column per pair, so that each pair's min, max and sums are reductions
+    across whole rows, and the transposed views the fuzz draws in that
+    layout are not copied. Each column is summed in ``measures._sum``'s
+    order, the one numpy's row sums take, so any memory layout of the
+    input gives the same bits.
     """
     import numpy as np
-    # row sums in the order of ``measures._sum``, which needs C order
-    p = np.ascontiguousarray(p, dtype=float)
-    q = np.ascontiguousarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.ndim != 2 or p.shape != q.shape or p.shape[1] == 0:
         raise DomainError(
             f"need two (n, k) arrays of one shape, got {p.shape} and {q.shape}"
         )
+    # one row per support point and one column per pair (see above)
+    p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     support = q > 0
     with np.errstate(all="ignore"):  # rows that are not plain are redone below
         ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
-        m = np.where(support, ratio, np.inf).min(axis=1)
-        M = np.where(support, ratio, -np.inf).max(axis=1)
-        delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
+        m = np.where(support, ratio, np.inf).min(axis=0)
+        M = np.where(support, ratio, -np.inf).max(axis=0)
+        delta_sup = 0.5 * _sum(np.abs(p - q))
         upper = _upper(delta_sup, m, M, np)
         plain = (
-            (np.abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
-            & (np.abs(q.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
-            & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=1)
+            (np.abs(_sum(p) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
+            & (np.abs(_sum(q) - 1.0) <= PROB_SUM_TOL)
+            & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=0)
             & (0 < m) & (m < 1) & (1 < M)
             & np.isfinite(upper)  # not where M = inf
         )
         log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
-        divergence = (p * log_ratio).sum(axis=1)
+        divergence = _sum(p * log_ratio)
     divergence = np.where(divergence > 0, divergence, 0.0)
     delta_var = np.where(plain, 2.0 * delta_sup, 0.0)
     rows = _sandwich_report(delta_var, divergence, upper, np)
     for i in np.flatnonzero(~plain):
         try:
             report = check_sandwich_same_dim(
-                DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
+                DiscreteDistribution(p[:, i]), DiscreteDistribution(q[:, i])
             )
         except ValueError as exc:
             raise type(exc)(f"row {i}: {exc}") from None

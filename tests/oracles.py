@@ -15,7 +15,7 @@ whose own tests use the mpmath values here; and the exhaustive TV
 convention scan evaluates U through ``pinsker._upper``, the formula whose
 scale it checks from below, as ``divbounds verify``'s upper attainment
 rows check it at the pairs that attain U. Frozen copies of former library code (the discrete
-kernels, ``kl_gaussian_1d``'s body) and search results recorded from an
+kernels, the row-major batched sandwich checker, ``kl_gaussian_1d``'s body) and search results recorded from an
 earlier version guard rewrites that must stay bit-identical.
 """
 
@@ -892,3 +892,54 @@ def density_bounds_discrete_reference(pa: np.ndarray, qa: np.ndarray):
         )
     ratios = pa[support] / qa[support]
     return DensityBounds(m=float(ratios.min()), M=float(ratios.max()))
+
+
+# --- the batched sandwich checker as it was before its column layout -----
+
+
+def check_sandwich_rows_row_major(p, q):
+    """``pinsker.check_sandwich_rows`` reducing along rows of C-ordered arrays.
+
+    A frozen copy: the column-layout kernel must return every field bit
+    for bit, and raise the same errors with the same messages. Its helpers
+    (U, the report, the scalar fallback) are the library's.
+    """
+    from divbounds import DiscreteDistribution
+    from divbounds.pinsker import _sandwich_report, check_sandwich_same_dim
+
+    # row sums in the order of ``measures._sum``, which needs C order
+    p = np.ascontiguousarray(p, dtype=float)
+    q = np.ascontiguousarray(q, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape or p.shape[1] == 0:
+        raise DomainError(
+            f"need two (n, k) arrays of one shape, got {p.shape} and {q.shape}"
+        )
+    support = q > 0
+    with np.errstate(all="ignore"):  # rows that are not plain are redone below
+        ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
+        m = np.where(support, ratio, np.inf).min(axis=1)
+        M = np.where(support, ratio, -np.inf).max(axis=1)
+        delta_sup = 0.5 * np.abs(p - q).sum(axis=1)
+        upper = _upper(delta_sup, m, M, np)
+        plain = (
+            (np.abs(p.sum(axis=1) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
+            & (np.abs(q.sum(axis=1) - 1.0) <= PROB_SUM_TOL)
+            & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=1)
+            & (0 < m) & (m < 1) & (1 < M)
+            & np.isfinite(upper)  # not where M = inf
+        )
+        log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+        divergence = (p * log_ratio).sum(axis=1)
+    divergence = np.where(divergence > 0, divergence, 0.0)
+    delta_var = np.where(plain, 2.0 * delta_sup, 0.0)
+    rows = _sandwich_report(delta_var, divergence, upper, np)
+    for i in np.flatnonzero(~plain):
+        try:
+            report = check_sandwich_same_dim(
+                DiscreteDistribution(p[i]), DiscreteDistribution(q[i])
+            )
+        except ValueError as exc:
+            raise type(exc)(f"row {i}: {exc}") from None
+        for column, value in zip(rows, report):
+            column[i] = value
+    return rows

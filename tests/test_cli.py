@@ -268,6 +268,21 @@ def test_sandwich_on_sums_on_opposite_sides_of_1(capsys):
     assert payload["all_hold"] is True
 
 
+@pytest.mark.parametrize("c", ["1.0000000000005", "0.9999999999995"])
+def test_reverse_pinsker_rejects_equal_bounds_off_1(capsys, c):
+    # m = M forces identical measures as m = 1 does: delta must be 0
+    argv = ["reverse-pinsker", "--convention", "sup", "--m", c, "--M", c]
+    code, out, err = run_cli(capsys, *argv, "--delta", "0.5")
+    assert (code, out) == (1, "")
+    assert err == (
+        f"divbounds: error: m = {c}, M = {c} force identical measures, "
+        "so delta must be 0, got 0.5\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--delta", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"upper": 0.0, "convention": "sup"}
+
+
 def test_sandwich_on_an_overflowing_density_ratio(capsys):
     # 0.5 / 5e-324 overflows: M and the upper bound are inf, and KL takes
     # that term's log as log 0.5 - log 5e-324, as `divergence` does
@@ -790,12 +805,13 @@ def test_overflowing_covariance_prints_one_error_line():
 
 
 def _loaded_after(statement: str, *argv) -> list:
-    # the divbounds submodules, numpy and dataclasses, as a child process has
-    # them after running ``statement`` with ``argv`` as sys.argv[1:]
+    # the divbounds submodules, numpy, numpy.random and dataclasses, as a
+    # child process has them after running ``statement`` with ``argv`` as
+    # sys.argv[1:]
     proc = _run_child(
         "-c",
         f"import sys\n{statement}\nimport json\nprint(json.dumps(sorted("
-        "m for m in sys.modules if m in ('numpy', 'dataclasses') "
+        "m for m in sys.modules if m in ('numpy', 'numpy.random', 'dataclasses') "
         "or m.startswith('divbounds.'))))",
         *argv,
     )
@@ -825,6 +841,15 @@ def test_verify_does_not_load_the_augmented_module():
     statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
     loaded = _loaded_after(statement, "verify", "--trials", "10")
     assert "divbounds.augmented" not in loaded
+
+
+@pytest.mark.parametrize("seed", ["1", "36893488147419103232"])
+def test_verify_does_not_load_numpy_random(seed):
+    # the fuzz draws from its own SplitMix64 stream, for seeds of any size;
+    # numpy.random alone costs milliseconds and megabytes of every run
+    statement = "from divbounds.cli import main\nassert main(sys.argv[1:]) == 0"
+    loaded = _loaded_after(statement, "verify", "--trials", "10", "--seed", seed)
+    assert "numpy" in loaded and "numpy.random" not in loaded
 
 
 _NUMPY_FREE_COMMANDS = {

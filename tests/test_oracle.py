@@ -148,13 +148,62 @@ class TestFuzzSandwich:
         assert calls == []
 
     def test_a_block_draws_every_support_size(self):
-        k, p, q = oracle._draw_block(np.random.default_rng(0), 8192)
+        k, p, q = oracle._draw_block(0, 0, 8192)
         assert p.shape == q.shape == (8192, oracle.VERIFY_MAX_SUPPORT)
         assert set(k.tolist()) == set(range(2, oracle.VERIFY_MAX_SUPPORT + 1))
         within = np.arange(oracle.VERIFY_MAX_SUPPORT) < k[:, None]
         for x in (p, q):
             assert np.all(x[within] > 0) and np.all(x[~within] == 0)
             np.testing.assert_allclose(x.sum(axis=1), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("tol", [pinsker.REPORT_TOL, -1.0])
+    def test_the_pairs_do_not_depend_on_the_block_size(self, monkeypatch, tol):
+        # trial i is a function of (seed, i), so the margins and, with every
+        # chain forced to fail, the violations come out the same
+        monkeypatch.setattr(pinsker, "REPORT_TOL", tol)
+        reports = []
+        for block in (64, 8192):
+            monkeypatch.setattr(oracle, "_FUZZ_BLOCK", block)
+            reports.append(fuzz_sandwich(150, seed=3))
+        assert reports[0] == reports[1]
+        assert reports[0].n_violations == (150 if tol < 0 else 0)
+
+    def test_draws_are_uniform_in_k_and_on_each_simplex(self):
+        # k uniform on 2..6, and p and q uniform on the simplex given k:
+        # each entry has mean 1/k and variance (k - 1) / (k^2 (k + 1))
+        n, width = 50_000, oracle.VERIFY_MAX_SUPPORT
+        k, p, q = oracle._draw_block(2024, 0, n)
+        share = 1 / (width - 1)
+        for size in range(2, width + 1):
+            rows = k == size
+            count = int(rows.sum())
+            assert abs(count - n * share) <= 4 * np.sqrt(n * share * (1 - share))
+            sigma = np.sqrt((size - 1) / (size**2 * (size + 1)) / count)
+            for x in (p, q):
+                means = x[rows, :size].mean(axis=0)
+                assert np.all(np.abs(means - 1 / size) <= 4 * sigma)
+
+    def test_seeds_past_64_bits_give_unrelated_streams(self):
+        # a seed of any size folds to one 64-bit key; 0 and 2**64 differ in
+        # their high word, and no stream is a shifted copy of another
+        seeds = (0, 1, 2**64, 2**64 + 1)
+        streams = [oracle._uniforms(seed, 0, 13 * 64) for seed in seeds]
+        for i, a in enumerate(streams):
+            for b in streams[i + 1:]:
+                assert np.intersect1d(a, b).size == 0
+        blocks = {
+            tuple(np.concatenate([k, p.ravel(), q.ravel()]).tolist())
+            for k, p, q in (oracle._draw_block(seed, 0, 64) for seed in seeds)
+        }
+        assert len(blocks) == len(seeds)
+        assert fuzz_sandwich(100, seed=2**65).ok
+
+    def test_uniforms_lie_strictly_inside_0_1(self):
+        # every output is a multiple of 2**-52 plus 2**-53: the extreme
+        # values are 2**-53 and 1 - 2**-53, so -log u is finite and positive
+        u = oracle._uniforms(5, 0, 100_000)
+        assert np.all((0 < u) & (u < 1))
+        assert np.all(np.modf(u * 2.0**52)[0] == 0.5)
 
     def test_forced_violations_keep_their_rows(self, monkeypatch):
         # a negative slack makes every chain fail, so every trial reports

@@ -54,6 +54,27 @@ class TestReversePinsker:
         with pytest.raises(DomainError):
             reverse_pinsker(0.1, SUP, DensityBounds(1.0, 1.0))
 
+    @pytest.mark.parametrize("c", [1.0000000000005, 0.9999999999995])
+    def test_equal_bounds_off_1_force_identical_measures(self, c):
+        # m = M != 1 is no pair of normalized measures, as m = 1 or M = 1
+        # is none but p = q: delta must be 0, and U is then 0
+        with pytest.raises(DomainError, match="force identical measures"):
+            reverse_pinsker(0.5, SUP, DensityBounds(c, c))
+        with pytest.raises(DomainError, match="force identical measures"):
+            reverse_pinsker(1e-300, VAR, DensityBounds(c, c))
+        assert reverse_pinsker(0.0, SUP, DensityBounds(c, c)) == 0.0
+
+    def test_a_proportional_pair_keeps_its_report(self):
+        # the same m = M read off a pair is its sums' slack, not a claim:
+        # check_sandwich_same_dim reports U = 0 at the delta it leaves
+        p, q = disc(0.5000000000003, 0.5000000000003), disc(0.4999999999997, 0.4999999999997)
+        db = density_bounds_discrete(p, q)
+        assert db.m == db.M > 1.0 and tv_discrete(p, q, SUP) > 0.0
+        with pytest.raises(DomainError, match="force identical measures"):
+            reverse_pinsker(tv_discrete(p, q, SUP), SUP, db)
+        report = check_sandwich_same_dim(p, q)
+        assert (report.upper, report.all_hold) == (0.0, True)
+
     def test_worked_example(self):
         got = reverse_pinsker(0.1, SUP, DensityBounds(0.5, 2.0))
         assert got == pytest.approx(oracles.RP_SUP_01_HALF_TWO, abs=1e-14)
@@ -236,6 +257,23 @@ def edge_total(side):
     while abs(total - 1.0) > PROB_SUM_TOL:
         total = math.nextafter(total, 1.0)
     return total
+
+
+def assert_same_as_row_major(p, q):
+    """``check_sandwich_rows`` against its frozen row-major form on (p, q)."""
+    outcomes = []
+    for kernel in (check_sandwich_rows, oracles.check_sandwich_rows_row_major):
+        try:
+            outcomes.append(kernel(p, q))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    if not isinstance(want, SandwichReport):
+        assert got == want
+        return
+    for name, a, b in zip(SandwichReport._fields, got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 TOP, BOTTOM = edge_total(+1), edge_total(-1)
@@ -525,6 +563,31 @@ class TestSandwichRows:
         q = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(DomainError, match="^row 2: reverse Pinsker needs"):
             check_sandwich_rows(p, q)
+
+    @pytest.mark.parametrize(
+        "layout", ["drawn", "drawn-c-order", "padded-6", "padded-20", "padded-300"]
+    )
+    def test_columns_match_the_row_major_kernel_bit_for_bit(self, layout):
+        # the fuzz's transposed views and zero-padded rows up to the width
+        # at which ``_sum`` splits: every field keeps the parent's bits
+        if layout.startswith("drawn"):
+            _, p, q = oracle._draw_block(7, 0, 4096)
+            if layout == "drawn-c-order":
+                p, q = p.copy(), q.copy()
+        else:
+            width = int(layout.split("-")[1])
+            _, p, q = padded_rows(np.random.default_rng(width), 6000 // width, width)
+        assert_same_as_row_major(p, q)
+
+    @pytest.mark.parametrize("kind", AGREEMENT_ROWS)
+    def test_each_kind_of_row_matches_the_row_major_kernel(self, kind):
+        # plain, fallback, nan and rejected rows, alone and among drawn
+        # rows: the same report bits, or the same error and message
+        a, b, _ = AGREEMENT_ROWS[kind]
+        assert_same_as_row_major(np.array([a]), np.array([b]))
+        _, p, q = padded_rows(np.random.default_rng(4), 50, len(a))
+        p[17], q[17] = a, b
+        assert_same_as_row_major(p, q)
 
     def test_fortran_ordered_input_gives_the_c_ordered_result(self):
         # numpy sums the rows of a Fortran-ordered array in another order
