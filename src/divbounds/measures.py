@@ -287,10 +287,10 @@ class DensityBounds(_Record):
     Because dP/dQ integrates to 1 under Q, m <= 1 <= M, up to the sums:
     two probability vectors may each sum to within PROB_SUM_TOL of 1, so m
     may exceed 1, and 1 exceed M, by the factor (1 + PROB_SUM_TOL) / (1 -
-    PROB_SUM_TOL) and an ulp. m = 0 is representable (P vanishing on part
-    of Q's support) but is rejected by the reverse-Pinsker operations,
-    which need m > 0. So is M = +inf (a ratio past the largest double),
-    which ``reverse_pinsker`` rejects.
+    PROB_SUM_TOL) and an ulp. m = 0 (P vanishing on part of Q's support)
+    is the reverse-Pinsker bound's attained limit. M = +inf (a ratio past
+    the largest double) makes that bound +inf for a pair's own bounds,
+    and ``reverse_pinsker`` rejects it as a bound a user supplies.
     """
 
     __slots__ = _fields = ("m", "M")

@@ -1,6 +1,6 @@
 """Reverse-Pinsker upper bounds and the two-sided sandwich checkers.
 
-With phi(x) = x log(x) / (x - 1) (continuously extended by phi(1) = 1),
+With phi(x) = x log(x) / (x - 1) (phi(x) = x at its limits 0, 1 and inf),
 the upper bound on KL at total variation delta, over pairs whose relative
 density dP/dQ has essential bounds m and M, is
 
@@ -10,8 +10,8 @@ phi is increasing, so U > 0 whenever m < 1 < M. The bound is attained:
 the two-point pair whose density ratio takes exactly the values m and M
 has KL equal to U, because mass moving up contributes at most
 phi(M) * (r - 1) of divergence per unit of total variation and mass
-moving down removes at least phi(m) * (1 - r). When m = 1, M = 1 or
-m = M the pair is forced to be identical and U degenerates to 0.
+moving down removes at least phi(m) * (1 - r). That includes m = 0: P =
+(1, 0) against Q = (1/M, 1 - 1/M) has KL = log M = U.
 
 That attainment settles the scale on which delta enters the formula: KL
 equals U at such pairs on the SUP reading of delta, and half of U on the
@@ -23,13 +23,13 @@ SUP delta, and ``divbounds verify`` checks it at the attaining pairs
 Every checker returns a ``SandwichReport``: floats for one pair, 1-D
 arrays for a batch. Its ``gaps`` are the chain's three links, vajda -
 poly, KL - vajda and U - KL; the verdict ``all_hold``, the fuzz margins
-and the attainment gaps of ``divbounds verify`` all read them.
-``check_sandwich_same_dim`` holds every edge rule of the discrete chain.
-The batched ``check_sandwich_rows`` computes only plain rows as arrays:
-both sums within PROB_SUM_TOL of 1, no negative or nan entry, p
-absolutely continuous w.r.t. q, 0 < m < 1 < M and a finite U. It hands
-each other row to the scalar checker (tens of us a row) and raises its
-error as ``row i: <message>``.
+and the attainment gaps of ``divbounds verify`` all read them. The
+discrete checkers take U at the bounds read off the pair, with no edge
+rule (a ratio past the largest double gives U = inf), and raise only for
+invalid input; the edge rules of ``reverse_pinsker`` are for bounds a
+user supplies. The batched ``check_sandwich_rows`` computes every valid
+row as arrays, and raises the first invalid row's scalar error as
+``row i: <message>``.
 numpy is imported only by that checker, and ``augmented`` only by
 ``check_sandwich_augmented``; the discrete kernels of ``measures`` are
 ``math`` loops.
@@ -113,10 +113,16 @@ def _sandwich_report(delta_var, divergence, upper, xp=math) -> SandwichReport:
 
 
 def _phi(x, xp=math):
-    # x log(x) / (x - 1); x - 1 is exact near 1, and log x is finite for
-    # every positive double. Grouped so that no product overflows: x log x
-    # does from x = 2.6e305 on. ``xp`` is math for floats, numpy for arrays.
-    return x * (xp.log(x) / (x - 1.0))
+    # x log(x) / (x - 1), or x at the limits 0, 1 and inf, where the
+    # quotient is nan. x - 1 is exact near 1; grouped so that no product
+    # overflows (x log x does from 2.6e305 on). ``xp`` is math or numpy.
+    if xp is math:
+        if x in (0.0, 1.0, math.inf):
+            return x
+        return x * (math.log(x) / (x - 1.0))
+    with xp.errstate(divide="ignore", invalid="ignore"):
+        value = x * (xp.log(x) / (x - 1.0))
+    return xp.where(xp.isnan(value), x, value)
 
 
 def _upper(delta_sup, m, M, xp=math):
@@ -124,33 +130,28 @@ def _upper(delta_sup, m, M, xp=math):
     return delta_sup * (_phi(M, xp) - _phi(m, xp))
 
 
-def _checked_upper(delta_sup: float, bounds: DensityBounds) -> float:
-    # U's edge rules, for a delta already on the SUP scale
-    if bounds.m <= 0:
-        raise DomainError(
-            f"reverse Pinsker needs a positive essential infimum, got m = {bounds.m}"
-        )
-    if bounds.m == 1.0 or bounds.M == 1.0 or bounds.m == bounds.M:
-        if delta_sup != 0.0:
-            raise DomainError(
-                f"m = {bounds.m}, M = {bounds.M} force identical measures, "
-                f"so delta must be 0, got {delta_sup}"
-            )
-        return 0.0
-    if not math.isfinite(bounds.M):
-        raise DomainError("reverse Pinsker needs a finite essential supremum")
-    return _upper(delta_sup, bounds.m, bounds.M)
-
-
 def reverse_pinsker(delta: float, conv: TvConvention, bounds: DensityBounds) -> float:
     """Upper bound on KL at total variation ``delta`` given density bounds.
 
     Evaluates delta * (phi(M) - phi(m)) with delta converted to the SUP
-    scale first. m = 1, M = 1 or m = M forces the pair to be identical
-    (two normalized measures cannot have a constant density ratio other
-    than 1), so delta must be 0 there and the result is 0.
+    scale first; m = 0 is U's attained limit. Two rules hold for these
+    user-supplied bounds, not for those the checkers read off a pair:
+    m = 1, M = 1 or m = M forces identical measures (two normalized
+    measures cannot have a constant density ratio other than 1), so delta
+    must be 0 and the result is 0; and M = inf is rejected.
     """
-    return _checked_upper(convert_tv(delta, conv, TvConvention.SUP), bounds)
+    delta_sup = convert_tv(delta, conv, TvConvention.SUP)
+    m, M = bounds.m, bounds.M
+    if m == 1.0 or M == 1.0 or m == M:
+        if delta_sup != 0.0:
+            raise DomainError(
+                f"m = {m}, M = {M} force identical measures, "
+                f"so delta must be 0, got {delta_sup}"
+            )
+        return 0.0
+    if M == math.inf:
+        raise DomainError("reverse Pinsker needs a finite essential supremum")
+    return _upper(delta_sup, m, M)
 
 
 def augmented_upper_bound(
@@ -172,24 +173,15 @@ def check_sandwich_same_dim(
 ) -> SandwichReport:
     """Evaluate the full bound chain for a discrete pair and report it.
 
-    Computes delta and the density bounds from the pair itself; requires
-    p absolutely continuous w.r.t. q, and m > 0 for the upper bound. A
-    density ratio past the largest double makes M, and the upper bound,
-    +inf.
+    Computes delta and the density bounds from the pair itself, and U at
+    them; requires p absolutely continuous w.r.t. q. A density ratio past
+    the largest double makes M, and the upper bound, +inf.
     """
     delta_sup = tv_discrete(p, q, TvConvention.SUP)
     db = density_bounds_discrete(p, q)
-    # a ratio past the largest double leaves U unbounded, unless m = 1
-    # claims identical measures, which reverse_pinsker rejects. A constant
-    # ratio off 1 is a proportional pair, one measure up to the sums'
-    # slack: U is 0, and the delta that slack leaves is no error
-    if db.M == math.inf and db.m != 1.0:
-        upper = math.inf
-    elif db.m == db.M != 1.0:
-        upper = 0.0
-    else:
-        upper = _checked_upper(delta_sup, db)
-    return _sandwich_report(2.0 * delta_sup, kl_discrete(p, q), upper)
+    return _sandwich_report(
+        2.0 * delta_sup, kl_discrete(p, q), _upper(delta_sup, db.m, db.M)
+    )
 
 
 def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
@@ -198,15 +190,17 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
     Returns one ``SandwichReport`` whose fields, and whose ``gaps``, are 1-D
     arrays with entry i for pair i. Row i of ``p`` and row i of ``q`` form
     one discrete pair; zero padding in both rows changes none of its
-    quantities. Plain rows (see the module docstring) are computed as
-    arrays. On them, for k < 8, poly equals the scalar value, KL agrees
+    quantities, only (from 8 columns on) the order its sums add in. A row
+    is valid when both sums lie within PROB_SUM_TOL of 1, no entry is
+    negative or nan, and p is absolutely continuous w.r.t. q; every valid
+    row is computed as arrays. Against the scalar checker on the same
+    row, zeros included, poly is equal for every k, KL agrees
     within ``kl_discrete``'s contract (np.log and math.log round
     differently), the curve within 1e-14 relative from delta = 1e-40 up
-    (below ~1e-57 the scalar curve floors at 1.21e-116, the batched one is
-    delta^2/2), and U to a few ulps of the two phi values it subtracts.
-    Every other row is a scalar check, whose report it takes bit for bit and
-    whose error it raises as ``row i: <message>`` for the first row that
-    fails.
+    (below ~1e-57 the scalar curve floors at 1.21e-116, the batched one
+    is delta^2/2), and U to a few ulps of the two phi values it
+    subtracts. If a row is invalid, the scalar checker's error for the
+    first one is raised as ``row i: <message>``.
 
     The kernel works on the transposes, one row per support point and one
     column per pair, so that each pair's min, max and sums are reductions
@@ -224,34 +218,36 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
     # one row per support point and one column per pair (see above)
     p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     support = q > 0
-    with np.errstate(all="ignore"):  # rows that are not plain are redone below
-        ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
-        m = np.where(support, ratio, np.inf).min(axis=0)
-        M = np.where(support, ratio, -np.inf).max(axis=0)
-        delta_sup = 0.5 * _sum(np.abs(p - q))
-        upper = _upper(delta_sup, m, M, np)
-        plain = (
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of invalid rows
+        valid = (
             (np.abs(_sum(p) - 1.0) <= PROB_SUM_TOL)  # false for nan and inf
             & (np.abs(_sum(q) - 1.0) <= PROB_SUM_TOL)
             & ~np.any((p < 0) | (q < 0) | (p > 0) & ~support, axis=0)
-            & (0 < m) & (m < 1) & (1 < M)
-            & np.isfinite(upper)  # not where M = inf
         )
-        log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
-        divergence = _sum(p * log_ratio)
-    divergence = np.where(divergence > 0, divergence, 0.0)
-    delta_var = np.where(plain, 2.0 * delta_sup, 0.0)
-    rows = _sandwich_report(delta_var, divergence, upper, np)
-    for i in np.flatnonzero(~plain):
+    for i in np.flatnonzero(~valid):
         try:
-            report = check_sandwich_same_dim(
+            check_sandwich_same_dim(
                 DiscreteDistribution(p[:, i]), DiscreteDistribution(q[:, i])
             )
         except ValueError as exc:
             raise type(exc)(f"row {i}: {exc}") from None
-        for column, value in zip(rows, report):
-            column[i] = value
-    return rows
+    with np.errstate(over="ignore"):  # a ratio past the largest double is inf
+        ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
+    m = np.where(support, ratio, np.inf).min(axis=0)
+    M = np.where(support, ratio, -np.inf).max(axis=0)
+    delta_sup = 0.5 * _sum(np.abs(p - q))
+    log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+    # as in kl_discrete, an overflowing ratio takes its log as log p - log q;
+    # only the columns with M = inf hold one
+    over = np.flatnonzero(M == np.inf)
+    point, pair = np.nonzero(ratio[:, over] == np.inf)
+    at = point, over[pair]
+    log_ratio[at] = np.log(p[at]) - np.log(q[at])
+    divergence = _sum(p * log_ratio)
+    divergence = np.where(divergence > 0, divergence, 0.0)
+    return _sandwich_report(
+        2.0 * delta_sup, divergence, _upper(delta_sup, m, M, np), np
+    )
 
 
 def check_sandwich_augmented(

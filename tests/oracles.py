@@ -299,9 +299,12 @@ MIN_KL_AT_TV_S3_STEP002 = {
 
 
 def phi_ratio_weight(x: float) -> float:
-    """x log x / (x - 1), the per-unit-TV divergence weight; phi(1) = 1."""
-    if x == 1.0:
-        return 1.0
+    """x log x / (x - 1), the per-unit-TV divergence weight.
+
+    At its limits phi(0) = 0, phi(1) = 1 and phi(inf) = inf it is x.
+    """
+    if x in (0.0, 1.0, math.inf):
+        return x
     return x * math.log(x) / (x - 1.0)
 
 POLY_COEFF_FRACTIONS = (

@@ -299,6 +299,52 @@ def test_sandwich_on_an_overflowing_density_ratio(capsys):
     assert json.loads(out)["kl"] == payload["divergence"]
 
 
+def test_sandwich_on_an_m_0_pair(capsys):
+    # p vanishes where q does not: m = 0, where phi(0) = 0, and the pair
+    # attains U, so U = KL = log 2
+    p = '{"type":"discrete","probs":[0,1]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", p, "--q", Q_DISC)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["upper"] == payload["divergence"] == math.log(2.0)
+    assert payload["all_hold"] is True
+
+
+def test_sandwich_on_a_tiny_atom_beside_a_ratio_of_1(capsys):
+    # m = 1 exactly and M = 3: U = 1e-20 (phi(3) - 1) is below KL by p's
+    # sum defect, which REPORT_TOL passes
+    p = '{"type":"discrete","probs":[3e-20,0.5,0.5]}'
+    q = '{"type":"discrete","probs":[1e-20,0.5,0.5]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", p, "--q", q)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["upper"] == pytest.approx(6.479184330021645e-21, rel=1e-15)
+    assert payload["divergence"] == pytest.approx(3.29583686600433e-20, rel=1e-15)
+    assert payload["all_hold"] is True
+
+
+def test_sandwich_on_an_m_1_pair_whose_ratio_overflows(capsys):
+    # m = 1 while 1e-13 / 5e-324 overflows: U is inf, not an error
+    p = '{"type":"discrete","probs":[0.5,0.5,1e-13]}'
+    q = '{"type":"discrete","probs":[0.5,0.5,5e-324]}'
+    code, out, err = run_cli(capsys, "sandwich", "--p", p, "--q", q)
+    assert (code, err) == (0, "")
+    assert '"upper":Infinity' in out
+    payload = json.loads(out)
+    assert payload["divergence"] == pytest.approx(7.145064657124587e-11, rel=1e-15)
+    assert payload["all_hold"] is True
+
+
+def test_reverse_pinsker_with_m_0(capsys):
+    # U = delta phi(M) at m = 0: 0.1 * 2 log 2
+    code, out, err = run_cli(
+        capsys,
+        "reverse-pinsker", "--delta", "0.1", "--convention", "sup", "--m", "0", "--M", "2",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["upper"] == pytest.approx(0.2 * math.log(2.0), rel=1e-15)
+
+
 def test_sandwich_with_a_density_bound_below_2_to_the_minus_54(capsys):
     # m = 2e-20, where m - 1 rounds to -1 and log1p(m - 1) is a math domain
     # error; the pair attains U, so U equals KL

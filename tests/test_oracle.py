@@ -136,7 +136,7 @@ class TestFuzzSandwich:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_drawn_rows_never_reach_the_scalar_checker(self, monkeypatch, seed):
-        # every drawn row is plain, so the whole fuzz stays in the array kernel
+        # every drawn row is valid, so the whole fuzz stays in the array kernel
         calls = []
 
         def spy(p, q):
