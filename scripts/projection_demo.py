@@ -18,6 +18,7 @@ from divbounds import (
     AugmentedDensityBounds,
     DensityBounds,
     DivBoundsError,
+    DomainError,
     Gaussian1D,
     GaussianND,
     TvConvention,
@@ -27,15 +28,18 @@ from divbounds import (
     gaussian_akl,
     invert_poly_bound,
     kl_gaussian_1d,
-    sample_stiefel,
 )
 from divbounds.augmented import _witness
 from divbounds.serialize import dumps
 
 
 def rotated_gaussian(eigenvalues, seed: int) -> GaussianND:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     n = len(eigenvalues)
-    basis = sample_stiefel(n, n, seed=seed).v
+    # a uniform rotation: the QR of a normal draw, R's diagonal signs folded in
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)).T)
+    basis = (q * np.where(np.diagonal(r) < 0, -1.0, 1.0)).T
     sigma = basis.T @ np.diag(np.asarray(eigenvalues, dtype=float)) @ basis
     return GaussianND(nu=np.zeros(n), sigma=0.5 * (sigma + sigma.T))
 

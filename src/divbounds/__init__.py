@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "augmented": (
         "ProjectionSearchResult", "StiefelFrame", "atv_gaussian", "attaining_frame",
-        "gaussian_akl", "pushforward_gaussian", "sample_stiefel",
-        "search_projection_divergence",
+        "gaussian_akl", "pushforward_gaussian", "search_projection_divergence",
     ),
     "errors": (
         "AbsoluteContinuityError", "DivBoundsError", "DomainError",

@@ -4,8 +4,9 @@ A 1-D measure is compared against an n-D one through orthonormal-row
 projections: every frame V (a row of the Stiefel manifold O(1, n)) and
 offset b pushes the n-D Gaussian forward to a 1-D Gaussian, and the
 infimum of the divergence over all such pushforwards is the augmented
-divergence. For a mean-matched pushforward along a unit row v the 1-D
-divergence depends on v only through the Rayleigh quotient v^T Sigma v.
+divergence (the projection form of Cai and Lim, IEEE Trans. IT 2022).
+For a mean-matched pushforward along a unit row v the 1-D divergence
+depends on v only through the Rayleigh quotient v^T Sigma v.
 
 For Gaussians the KL infimum has a closed form in the variance sigma^2 of
 the 1-D side and the extreme eigenvalues [zeta_min, zeta_max] of the n-D
@@ -16,11 +17,11 @@ sigma^2 exceeds the *largest* eigenvalue: stating it with the smallest
 inside the range, and the variance-scan oracle in the test suite confirms
 the largest-eigenvalue form. The augmented TV has the same closed form,
 with the 1-D TV in place of the 1-D KL. One frame, ``attaining_frame``,
-attains both; the Monte-Carlo search only estimates them from above.
+attains both. ``search_projection_divergence``, a Monte-Carlo search over
+frames kept as a cross-check of the KL, only estimates it from above.
 """
 
 import math
-import numbers
 import warnings
 
 import numpy as np
@@ -123,30 +124,6 @@ def pushforward_gaussian(q: GaussianND, frame: StiefelFrame):
     if frame.d == 1:
         return Gaussian1D(mu=float(mean[0]), sigma2=float(cov[0, 0]))
     return GaussianND(nu=mean, sigma=0.5 * (cov + cov.T))
-
-
-def sample_stiefel(d: int, n: int, seed) -> StiefelFrame:
-    """Draw a uniformly distributed frame with d orthonormal rows in R^n.
-
-    Takes the reduced Householder QR of the transpose of a d x n matrix of
-    independent standard normal draws from ``default_rng(seed)`` (anything
-    ``numpy.random.default_rng`` accepts; a number must be an integer
-    >= 0, as in the search) and flips each column of Q by the
-    sign of R's diagonal entry (+1 where it is 0), which makes the frame
-    uniform on the Stiefel manifold (Mezzadri, Notices AMS 2007). That is
-    the QR whose R has a positive diagonal, so the rows equal the draw's
-    Gram-Schmidt orthonormalization to rounding, and they are orthonormal
-    to rounding whatever the draw. For d = 1 the frame is the normalized
-    normal row the projection search draws. Deterministic given the seed;
-    the offset is zero.
-    """
-    d, n = _integer("d", d, 1), _integer("n", n, d)
-    if isinstance(seed, numbers.Number):
-        _integer("seed", seed, 0)
-    g = np.random.default_rng(seed).standard_normal((d, n))
-    q, r = np.linalg.qr(g.T)
-    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    return StiefelFrame(v=q.T, b=np.zeros(d))
 
 
 def _nearest_end(p: Gaussian1D, q: GaussianND):

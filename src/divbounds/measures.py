@@ -46,9 +46,8 @@ SYMMETRY_TOL = 1e-12
 GAUSS_TV_ABS_TOL = 1e-13
 _SQRT_HALF = math.sqrt(0.5)
 # |mu_a - mu_b| / (wider sigma) past which two Gaussians overlap by under
-# 1e-80 (SUP TV rounds to 1), and past which the crossing quadratic overflows
+# 1e-80 (SUP TV rounds to 1); the crossing quadratic sees no wider separation
 _DISJOINT_SEPARATION = 40.0
-_MAX_SEPARATION = 1e150
 _FLOAT_MIN = sys.float_info.min  # smallest normal double
 # element types a list or tuple of probabilities is converted without numpy
 _PLAIN_NUMBERS = frozenset((float, int, bool))
@@ -193,9 +192,6 @@ class DiscreteDistribution(_Record):
     def size(self) -> int:
         return len(self._probs)
 
-    def to_json_dict(self) -> dict:
-        return {"type": "discrete", "probs": list(self._probs)}
-
 
 class Gaussian1D(_Record):
     """Normal distribution on the real line with variance sigma2 > 0."""
@@ -213,9 +209,6 @@ class Gaussian1D(_Record):
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma2)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "gaussian1d", "mu": self.mu, "sigma2": self.sigma2}
 
 
 class GaussianND(_Record):
@@ -272,13 +265,6 @@ class GaussianND(_Record):
     @property
     def dim(self) -> int:
         return int(self.nu.size)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "gaussiannd",
-            "nu": [float(x) for x in self.nu],
-            "sigma": [[float(x) for x in row] for row in self.sigma],
-        }
 
 
 class DensityBounds(_Record):
@@ -392,31 +378,20 @@ def _standard_crossings(a: Gaussian1D, b: Gaussian1D):
     k u - t, and 2 (log f_w - log f_n) = lead u^2 + 2 k t u - (t^2 + L)
     with lead = (s_w - s_n) / s_w and L = log(s_w / s_n) >= 0, so no term
     of the discriminant is negative and nothing cancels, however large
-    the common mean or the variance ratio; DomainError once t^2 overflows.
-    No roots when a == b.
+    the common mean or the variance ratio. ``tv_gaussian_1d`` calls it only
+    with |t| at most _DISJOINT_SEPARATION, so t^2 cannot overflow. No roots
+    when a == b.
     """
     w, n = (a, b) if a.sigma2 >= b.sigma2 else (b, a)
     lead = (w.sigma2 - n.sigma2) / w.sigma2
     k = n.sigma / w.sigma
     t = (w.mu - n.mu) / w.sigma
-    if not abs(t) <= _MAX_SEPARATION:
-        raise DomainError(f"means {abs(t):.3g} wider sigmas apart overflow")
     if lead == 0.0 and t == 0.0:
         return n, k, t, []
     c = t * t + (-math.log1p(-lead) if lead <= 0.5 else -2.0 * math.log(k))
     q = -(k * t + math.copysign(math.sqrt((k * t) ** 2 + lead * c), t))
     roots = [-c / q, q / lead] if lead > 0.0 else [-c / q]
     return n, k, t, sorted(roots)
-
-
-def density_crossings(a: Gaussian1D, b: Gaussian1D) -> list[float]:
-    """Points where the two Gaussian densities are equal, sorted.
-
-    Two for unequal variances, one for equal variances and distinct
-    means, none for identical inputs.
-    """
-    n, _, _, roots = _standard_crossings(a, b)
-    return [n.mu + n.sigma * u for u in roots]
 
 
 def tv_gaussian_1d(a: Gaussian1D, b: Gaussian1D, conv: TvConvention) -> float:

@@ -245,7 +245,7 @@ def reid_lower_bound(
     lo, hi = d - 2.0, 2.0 - d
     eps = 1e-13 * (hi - lo)
     gamma, value = golden_section_minimize(
-        lambda g: _gamma_objective(g, d), lo + eps, hi - eps, x_tol=1e-12
+        lambda g: _gamma_objective(g, d), lo + eps, hi - eps
     )
     return GammaSearchResult(gamma_star=gamma, value=max(value, 0.0))
 

@@ -17,13 +17,18 @@ from divbounds import (
     gaussian_akl,
     kl_gaussian_1d,
     pushforward_gaussian,
-    sample_stiefel,
     search_projection_divergence,
     tv_gaussian_1d,
 )
 from divbounds.measures import GAUSS_TV_ABS_TOL
 
 SUP = TvConvention.SUP
+
+
+def unit_row_frame(rng, n):
+    # a uniform unit row: a normalized standard normal draw
+    g = rng.standard_normal(n)
+    return StiefelFrame(v=(g / np.linalg.norm(g)).reshape(1, n), b=np.zeros(1))
 
 
 @pytest.fixture
@@ -97,7 +102,7 @@ class TestPushforward:
         rng = np.random.default_rng(314)
         sigma = oracles.random_spd_matrix(3, [0.5, 1.5, 3.0], rng)
         q = GaussianND(nu=np.array([1.0, -2.0, 0.5]), sigma=sigma)
-        frame = sample_stiefel(1, 3, seed=9)
+        frame = unit_row_frame(np.random.default_rng(9), 3)
         out = pushforward_gaussian(q, frame)
         n = 1_000_000
         draws = rng.multivariate_normal(q.nu, q.sigma, size=n)
@@ -106,84 +111,6 @@ class TestPushforward:
         assert abs(mapped.mean() - out.mu) <= 3 * se_mean
         se_var = out.sigma2 * math.sqrt(2.0 / (n - 1))
         assert abs(mapped.var(ddof=1) - out.sigma2) <= 3 * se_var
-
-
-class TestSampleStiefel:
-    def test_one_by_one_is_sign(self):
-        frame = sample_stiefel(1, 1, seed=0)
-        assert abs(abs(frame.v[0, 0]) - 1.0) <= 1e-12
-
-    def test_orthonormal_over_many_seeds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10_000):
-            d = int(rng.integers(1, 9))
-            n = int(rng.integers(d, 9))
-            frame = sample_stiefel(d, n, seed=int(rng.integers(0, 2**32)))
-            defect = np.linalg.norm(frame.v @ frame.v.T - np.eye(d))
-            assert defect <= 1e-10
-
-    def test_deterministic_bit_for_bit(self):
-        a = sample_stiefel(3, 5, seed=1234)
-        b = sample_stiefel(3, 5, seed=1234)
-        assert np.array_equal(a.v, b.v)
-
-    def test_invalid_shapes(self):
-        with pytest.raises(DomainError):
-            sample_stiefel(3, 2, seed=0)
-        with pytest.raises(DomainError):
-            sample_stiefel(0, 2, seed=0)
-        # a float dimension, not numpy's TypeError
-        with pytest.raises(DomainError, match=r"^d must be an integer, got 1\.0$"):
-            sample_stiefel(1.0, 3, 0)
-        with pytest.raises(DomainError, match=r"^n must be an integer, got 3\.0$"):
-            sample_stiefel(1, 3.0, 0)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
-            sample_stiefel(1, 3, seed=-1)
-        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -5$"):
-            sample_stiefel(2, 3, seed=np.int64(-5))
-        # a number that is not an integer, not numpy's SeedSequence TypeError
-        shown = {1.5: "1.5", 2.0: "2.0", np.float64(0.5): r"np\.float64\(0\.5\)"}
-        for seed, text in shown.items():
-            message = f"^seed must be an integer, got {text}$"
-            with pytest.raises(DomainError, match=message):
-                sample_stiefel(1, 3, seed=seed)
-
-    def test_other_seeds_default_rng_accepts(self):
-        # None, a Generator, a SeedSequence, a numpy integer and a sequence
-        # of entropy ints still reach default_rng unchanged
-        for seed in (None, np.random.default_rng(6)):
-            frame = sample_stiefel(2, 4, seed=seed)
-            assert np.linalg.norm(frame.v @ frame.v.T - np.eye(2)) <= 1e-10
-        for make in (lambda: np.random.SeedSequence(5), lambda: np.int64(7), lambda: [3, 4]):
-            g = np.random.default_rng(make()).standard_normal(4)
-            got = sample_stiefel(1, 4, seed=make()).v[0]
-            assert np.max(np.abs(got - g / np.linalg.norm(g))) <= 1e-15
-
-    @pytest.mark.parametrize("d, n, seed", sorted(oracles.STIEFEL_FRAMES))
-    def test_matches_frozen_gram_schmidt_frames(self, d, n, seed):
-        # the sign-corrected QR is the Gram-Schmidt map of the same draw
-        got = sample_stiefel(d, n, seed).v
-        want = np.array(oracles.STIEFEL_FRAMES[d, n, seed])
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13
-
-    @pytest.mark.parametrize("d, n", [(1, 3), (3, 5), (2, 2)])
-    def test_diagonal_signs_balanced(self, d, n):
-        # a uniform frame is as likely to have v[i, i] > 0 as < 0; an
-        # unsigned Householder Q fixes the sign (binomial sd here: 22)
-        diag = np.array([np.diagonal(sample_stiefel(d, n, s).v) for s in range(2000)])
-        positive = (diag > 0).sum(axis=0)
-        assert np.all((900 <= positive) & (positive <= 1100)), positive
-
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_one_row_is_the_normalized_normal_draw(self, n):
-        # the law of the projection search's rows
-        for seed in range(20):
-            g = np.random.default_rng(seed).standard_normal(n)
-            got = sample_stiefel(1, n, seed).v[0]
-            assert np.max(np.abs(got - g / np.linalg.norm(g))) <= 1e-15
 
 
 class TestGaussianAkl:
@@ -631,7 +558,7 @@ class TestAtvGaussian:
             p = Gaussian1D(mu=0.3, sigma2=sigma2)
             atv = atv_gaussian(p, q3, SUP)
             for i in range(50):
-                frame = sample_stiefel(1, 3, seed=[seed, 0, i])
+                frame = unit_row_frame(np.random.default_rng([seed, 0, i]), 3)
                 s = pushforward_gaussian(q3, frame).sigma2
                 assert tv_gaussian_1d(p, Gaussian1D(p.mu, s), SUP) >= atv - 1e-15
 
