@@ -207,7 +207,11 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
     across whole rows, and the transposed views the fuzz draws in that
     layout are not copied. Each column is summed in ``measures._sum``'s
     order, the one numpy's row sums take, so any memory layout of the
-    input gives the same bits.
+    input gives the same bits. Past the validity masks, one (k, n) array
+    serves in turn as the density ratio, its log, the KL terms and
+    |p - q|, and m and M are masked reductions of it; it is freed before
+    the curve's Newton passes, where the kernel peaks, 176 B a pair above
+    its input at k = 6.
     """
     import numpy as np
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
@@ -231,19 +235,21 @@ def check_sandwich_rows(p: np.ndarray, q: np.ndarray) -> SandwichReport:
             )
         except ValueError as exc:
             raise type(exc)(f"row {i}: {exc}") from None
+    # the one (k, n) array (see above); the log leaves it 0 where p = 0
     with np.errstate(over="ignore"):  # a ratio past the largest double is inf
-        ratio = np.divide(p, q, out=np.zeros_like(p), where=support)
-    m = np.where(support, ratio, np.inf).min(axis=0)
-    M = np.where(support, ratio, -np.inf).max(axis=0)
-    delta_sup = 0.5 * _sum(np.abs(p - q))
-    log_ratio = np.log(ratio, out=np.zeros_like(p), where=p > 0)
+        work = np.divide(p, q, out=np.zeros_like(p), where=support)
+    m = np.min(work, axis=0, where=support, initial=np.inf)
+    M = np.max(work, axis=0, where=support, initial=-np.inf)
+    np.log(work, out=work, where=p > 0)
     # as in kl_discrete, an overflowing ratio takes its log as log p - log q;
-    # only the columns with M = inf hold one
+    # only the columns with M = inf hold one, and its log is inf
     over = np.flatnonzero(M == np.inf)
-    point, pair = np.nonzero(ratio[:, over] == np.inf)
+    point, pair = np.nonzero(work[:, over] == np.inf)
     at = point, over[pair]
-    log_ratio[at] = np.log(p[at]) - np.log(q[at])
-    divergence = _sum(p * log_ratio)
+    work[at] = np.log(p[at]) - np.log(q[at])
+    divergence = _sum(np.multiply(p, work, out=work))
+    delta_sup = 0.5 * _sum(np.abs(np.subtract(p, q, out=work), out=work))
+    del work  # free before the curve's Newton passes, the kernel's peak
     divergence = np.where(divergence > 0, divergence, 0.0)
     return _sandwich_report(
         2.0 * delta_sup, divergence, _upper(delta_sup, m, M, np), np

@@ -503,6 +503,33 @@ def tv_convention_scan(step: float = 1e-3) -> TvConvention:
     )
 
 
+# --- the fuzz stream from its definition, in Python integers ------------
+
+_MASK64 = 2**64 - 1
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix_mix(z: int) -> int:
+    # SplitMix64's finalizer (Steele, Lea and Flood, OOPSLA 2014)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def splitmix_uniform(seed: int, j: int) -> float:
+    """Output j of seed's fuzz stream, one output at a time.
+
+    The key folds the seed's 64-bit words, low first, as
+    mix((key ^ word) + gamma); output j is mix(key + (j + 1) gamma) mod
+    2**64, whose top 52 bits v give (v + 1/2) 2**-52.
+    """
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _splitmix_mix(((key ^ seed >> shift & _MASK64) + _SPLITMIX_GAMMA) & _MASK64)
+    z = _splitmix_mix((key + (j + 1) * _SPLITMIX_GAMMA) & _MASK64)
+    return ((z >> 12) + 0.5) * 2.0**-52
+
+
 def sum_edge_rows(seed):
     """A pair on 2n points whose sums pass PROB_SUM_TOL at its top edge.
 

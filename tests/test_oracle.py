@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,14 +161,55 @@ class TestFuzzSandwich:
     @pytest.mark.parametrize("tol", [pinsker.REPORT_TOL, -1.0])
     def test_the_pairs_do_not_depend_on_the_block_size(self, monkeypatch, tol):
         # trial i is a function of (seed, i), so the margins and, with every
-        # chain forced to fail, the violations come out the same
+        # chain forced to fail, the violations come out the same; the trial
+        # count is a multiple of neither block
         monkeypatch.setattr(pinsker, "REPORT_TOL", tol)
+        default = oracle._FUZZ_BLOCK
+        n = 2 * default + 150
         reports = []
-        for block in (64, 8192):
+        for block in (64, default):
             monkeypatch.setattr(oracle, "_FUZZ_BLOCK", block)
-            reports.append(fuzz_sandwich(150, seed=3))
+            reports.append(fuzz_sandwich(n, seed=3))
         assert reports[0] == reports[1]
-        assert reports[0].n_violations == (150 if tol < 0 else 0)
+        assert reports[0].n_violations == (n if tol < 0 else 0)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1])
+    @pytest.mark.parametrize("first", [0, oracle._FUZZ_BLOCK - 1, 2**60 - 2])
+    def test_a_block_is_the_flat_stream_in_columns(self, seed, first):
+        # trial i is outputs 13i..13i+12 of the stream as oracles defines
+        # it in integers, laid out (13, n); near 2**60 the index 13 i
+        # passes 2**63, so it must be formed in uint64
+        n, width = 5, oracle.VERIFY_MAX_SUPPORT
+        want = np.array([
+            [oracles.splitmix_uniform(seed, 13 * (first + i) + r) for i in range(n)]
+            for r in range(13)
+        ])
+        u = oracle._uniforms(seed, first, n)
+        assert u.shape == (13, n) and np.array_equal(u, want)
+        k, p, q = oracle._draw_block(seed, first, n)
+        assert np.array_equal(k, 2 + np.floor(want[0] * (width - 1)).astype(int))
+        for x, rows in ((p, want[1 : 1 + width]), (q, want[1 + width :])):
+            assert x.shape == (n, width)
+            for i in range(n):
+                e = [-math.log(v) for v in rows[: k[i], i]]
+                assert np.all(x[i, k[i] :] == 0)
+                np.testing.assert_allclose(x[i, : k[i]], np.array(e) / sum(e), rtol=1e-15)
+
+    def test_the_fuzz_peak_grows_with_neither_the_trials_nor_the_block(self):
+        # a block's temporaries are the fuzz's whole working set: a
+        # full-size copy or a larger block shows here (blocks of 8192
+        # peaked at 3.6 MiB)
+        fuzz_sandwich(10, seed=1)  # first-call imports and caches
+        peaks = []
+        for blocks in (3, 30):
+            tracemalloc.start()
+            try:
+                fuzz_sandwich(blocks * oracle._FUZZ_BLOCK, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+        assert max(peaks) <= 2**20
 
     def test_draws_are_uniform_in_k_and_on_each_simplex(self):
         # k uniform on 2..6, and p and q uniform on the simplex given k:
@@ -187,7 +230,7 @@ class TestFuzzSandwich:
         # a seed of any size folds to one 64-bit key; 0 and 2**64 differ in
         # their high word, and no stream is a shifted copy of another
         seeds = (0, 1, 2**64, 2**64 + 1)
-        streams = [oracle._uniforms(seed, 0, 13 * 64) for seed in seeds]
+        streams = [oracle._uniforms(seed, 0, 64) for seed in seeds]
         for i, a in enumerate(streams):
             for b in streams[i + 1:]:
                 assert np.intersect1d(a, b).size == 0
@@ -201,7 +244,7 @@ class TestFuzzSandwich:
     def test_uniforms_lie_strictly_inside_0_1(self):
         # every output is a multiple of 2**-52 plus 2**-53: the extreme
         # values are 2**-53 and 1 - 2**-53, so -log u is finite and positive
-        u = oracle._uniforms(5, 0, 100_000)
+        u = oracle._uniforms(5, 0, 7_700)
         assert np.all((0 < u) & (u < 1))
         assert np.all(np.modf(u * 2.0**52)[0] == 0.5)
 
