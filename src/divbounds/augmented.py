@@ -207,16 +207,17 @@ def search_projection_divergence(
     rows; only the winner is normalized and scored from its own vector.
     The best frame is refined with random re-normalized perturbations of
     shrinking size: the generator's next (100, n) draws. A step is
-    screened by the KL at the Rayleigh quotient of v + h z expanded in h,
-    from terms updated per accepted step; one that passes is scored from
-    its own unit vector and taken only if that still improves. So
-    ``best_value`` is the KL at the returned frame's own quotient, which
-    is clamped to [zeta_min, zeta_max] where rounding leaves it, as is the
-    witness's variance. Both upper-estimate ``gaussian_akl`` up to
-    rounding: on a spectrum a few ulps wide (a rotated c I) the KL inside
-    it can round below the KL at its end, by at most 2 ulps in 12 000
-    searches. Scoring and screening call the scalar kernel behind
-    ``kl_gaussian_1d`` on floats. The offset is set by mean matching.
+    screened by the KL at the Rayleigh quotient of v + h z expanded in h
+    and, if it passes, taken on that value. Only the refined frame is
+    scored from its own unit vector, and kept if it beats the draw stage.
+    So ``best_value`` is the KL at the returned frame's own quotient,
+    clamped to [zeta_min, zeta_max] where rounding leaves it (as is the
+    witness's variance), and never above the draw stage's. Both
+    upper-estimate ``gaussian_akl`` up to rounding: on a spectrum a few
+    ulps wide (a rotated c I) the KL inside it can round below the KL at
+    its end, by at most 2 ulps in 12 000 searches. Scoring and screening
+    call the scalar kernel behind ``kl_gaussian_1d`` on floats. The
+    offset is set by mean matching.
 
     ``objective`` must be "kl", ``budget`` an integer >= 1 and ``seed``
     an integer >= 0.
@@ -252,39 +253,38 @@ def search_projection_divergence(
         if best_v is None or value < best_value:
             best_v, best_s, best_value = v, s_v, value
 
-    # along best_v + h z the Rayleigh quotient is N / D, with
+    # along v + h z the Rayleigh quotient is N / D, with
     #   D = v.v + h (2 z.v + h z.z),
     #   N = v.Sigma v + h (2 z.Sigma v + h z.Sigma z),
-    # so a step is screened from floats kept per frame; the perturbations'
-    # Gram matrices carry z.v and z.Sigma v over to (v + h z_k) / norm
+    # so a step is screened and taken on floats, to (v + h z) / sqrt(D) with
+    # quotient N / D, and one product with [Z; Z Sigma] refreshes z.v and
+    # z.Sigma v; D is noise where v + h z cancels, so |v + h z| guards a take
     perturbations = rng.standard_normal((_REFINE_STEPS, n))
     z_zs = np.concatenate((perturbations, perturbations @ q.sigma))
-    grams = (z_zs @ perturbations.T.copy()).reshape(2, _REFINE_STEPS, _REFINE_STEPS)
-    zz, zsz = grams.diagonal(axis1=1, axis2=2).tolist()
-    terms = (z_zs @ best_v).reshape(2, _REFINE_STEPS)
-    zv, zsv = terms.tolist()
-    vv, vsv = float(best_v.dot(best_v)), best_s
+    zz, zsz = ((z_zs.reshape(2, _REFINE_STEPS, n) * perturbations) @ ones).tolist()
+    zv, zsv = (z_zs @ best_v).reshape(2, _REFINE_STEPS).tolist()
+    v, vv, vsv, value = best_v, float(best_v.dot(best_v)), best_s, best_value
     step = _REFINE_INITIAL_STEP
     stale = 0
     for k in range(_REFINE_STEPS):
         d = vv + step * (2.0 * zv[k] + step * zz[k])
         s = (vsv + step * (2.0 * zsv[k] + step * zsz[k])) / d if d > 0 else 0.0
-        if 0 < s < math.inf and _kl_gaussian(s_p, s, 0.0) < best_value:
-            candidate = best_v + step * perturbations[k]
-            norm = math.sqrt(candidate.dot(candidate))
-            if norm >= 1e-12:
-                candidate /= norm
-                s, value = score(candidate)
-                if value < best_value:
-                    best_v, best_value = candidate, value
-                    vv, vsv = float(candidate.dot(candidate)), s
-                    terms = (terms + step * grams[:, k]) / norm
-                    zv, zsv = terms.tolist()
-                    continue
+        if 0 < s < math.inf and (kl := _kl_gaussian(s_p, s, 0.0)) < value:
+            candidate = v + step * perturbations[k]
+            cc = float(candidate.dot(candidate))
+            if cc >= 1e-24:  # |v + h z| >= 1e-12
+                v = candidate / math.sqrt(d)
+                vv, vsv, value = cc / d, s, kl
+                zv, zsv = (z_zs @ v).reshape(2, _REFINE_STEPS).tolist()
+                continue
         stale += 1
         if stale >= _REFINE_HALVE_AFTER:
             step *= 0.5
             stale = 0
+    if v is not best_v:  # the refined frame, scored once from its own vector
+        v = v / math.sqrt(v.dot(v))
+        if (value := score(v)[1]) < best_value:
+            best_v, best_value = v, value
 
     frame = StiefelFrame(best_v.reshape(1, n), np.array([p.mu - float(best_v @ q.nu)]))
     return ProjectionSearchResult(

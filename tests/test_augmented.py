@@ -472,6 +472,87 @@ class TestSearchProjectionDivergence:
         assert all(f <= d + 1e-15 for f, d in zip(full, draw_min))
         assert all(a >= b - 1e-6 for a, b in zip(full, full[1:]))
 
+    def test_refinement_never_loses_to_the_draw_stage(self, monkeypatch):
+        # steps are taken on the expanded quotient, and the refined frame is
+        # scored once from its own vector and kept only if it beats the
+        # draw stage's winner: no slack on either side. Every fifth
+        # covariance is a rotated c I, where steps win by rounding alone
+        rng = np.random.default_rng(36)
+        for trial in range(200):
+            n = int(rng.integers(2, 9))
+            if trial % 5 == 4:
+                eigs = np.full(n, math.exp(rng.uniform(-12.0, 12.0)))
+            else:
+                eigs = np.sort(np.exp(rng.uniform(-12.0, 12.0, size=n)))
+            sigma = oracles.random_spd_matrix(n, eigs, rng)
+            q = GaussianND(nu=rng.normal(size=n), sigma=sigma)
+            zeta_min, zeta_max = float(q.eigenvalues[0]), float(q.eigenvalues[-1])
+            sigma2 = (
+                math.exp(rng.uniform(math.log(zeta_min), math.log(zeta_max))),
+                zeta_min * math.exp(-rng.uniform(0.01, 12.0)),
+                zeta_max * math.exp(rng.uniform(0.01, 12.0)),
+            )[trial % 3]
+            p = Gaussian1D(mu=float(rng.normal()), sigma2=sigma2)
+            budget, seed = int(rng.integers(1, 1001)), int(rng.integers(2**31))
+            result = search_projection_divergence(p, q, "kl", budget, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(augmented, "_REFINE_STEPS", 0)
+                drawn = search_projection_divergence(p, q, "kl", budget, seed)
+            assert result.best_value <= drawn.best_value
+            v = result.best_frame.v[0]
+            s = float(np.einsum("i,ij,j->", v, q.sigma, v))
+            own = kl_gaussian_1d(p, Gaussian1D(p.mu, min(max(s, zeta_min), zeta_max)))
+            assert result.best_value == own
+
+    def test_cancelled_step_is_skipped(self, monkeypatch):
+        # a first perturbation -v / 0.5 cancels the draw stage's winner v at
+        # the first step size, 0.5: v + h z is exactly 0 and its expanded
+        # D = |v + h z|^2 is rounding noise, which can pass the screen. The
+        # step is skipped, as a nan perturbation (which no screen passes)
+        # is, and the search ends on a finite value and an orthonormal frame
+        real_rng = np.random.default_rng
+        shapes, first = [], []
+
+        class Recording:
+            # the seed's generator with the refinement's first row replaced
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                if shapes:
+                    out[0] = first[-1]
+                shapes.append(shape)
+                return out
+
+        rng = real_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(2, 9))
+            eigs = np.sort(np.exp(rng.uniform(-3.0, 3.0, size=n)))
+            sigma = oracles.random_spd_matrix(n, eigs, rng)
+            q = GaussianND(nu=rng.normal(size=n), sigma=sigma)
+            factor = math.exp(rng.uniform(0.5, 8.0))
+            sigma2 = eigs[-1] * factor if trial % 2 else eigs[0] / factor
+            p = Gaussian1D(0.0, float(sigma2))
+            seed = int(rng.integers(2**31))
+            with monkeypatch.context() as patch:
+                patch.setattr(augmented, "_REFINE_STEPS", 0)
+                drawn = search_projection_divergence(p, q, "kl", 1, seed)
+            results = []
+            for row in (-drawn.best_frame.v[0] / 0.5, np.full(n, math.nan)):
+                shapes.clear()
+                first.append(row)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np.random, "default_rng", Recording)
+                    results.append(search_projection_divergence(p, q, "kl", 1, seed))
+                assert shapes == [(1, n), (100, n)]
+            cancelled, skipped = results
+            assert math.isfinite(cancelled.best_value)
+            assert cancelled.best_value <= drawn.best_value
+            StiefelFrame(cancelled.best_frame.v, cancelled.best_frame.b)
+            assert cancelled.best_value == skipped.best_value
+            assert np.array_equal(cancelled.best_frame.v, skipped.best_frame.v)
+
     def test_out_of_range_variance_ratio_gives_inf(self):
         # sigma^2 / s overflows
         p = Gaussian1D(0.0, 1e300)
