@@ -49,7 +49,8 @@ _FAR_T = 1.0
 # Below this, L(t) is its power series in t^2 (measured within 2.4e-16
 # relative), above it the closed form (within 2.6e-15).
 _L_SERIES_T = 0.6
-_NEWTON_MAX_PASSES = 20  # vajda_lower_bound_array needs 6
+# vajda_lower_bound_array's pass count: a 7th pass moves no L by 1e-14 relative
+_NEWTON_PASSES = 6
 # The coefficients of t^2, t^4, ..., t^24 in L(t): 2^2n B_2n (4n^2 - 1) / (2n (2n)!)
 _L_SERIES = (1 / 2, -1 / 12, 1 / 81, -1 / 600, 1 / 4725, -691 / 26790750, 2 / 654885,
              -3617 / 10216206000, 43867 / 1086110400375, -174611 / 38379184593750,
@@ -132,6 +133,10 @@ def _delta_at_array(t: np.ndarray) -> np.ndarray:
     return np.where(t < _SMALL_T, _delta_series(t), hyperbolic)
 
 
+# delta(T_MAX), the largest delta the inversion resolves
+_DELTA_MAX = _delta_at(T_MAX)
+
+
 def _l_at(t: float) -> float:
     return _l_series(t * t) if t < _L_SERIES_T else _l_closed(t, math)
 
@@ -150,7 +155,7 @@ def curve_at_parameter(t: float) -> CurvePoint:
 
 def delta_max() -> float:
     """Largest delta the parametric inversion can resolve (just below 2)."""
-    return _delta_at(T_MAX)
+    return _DELTA_MAX
 
 
 def curve_point_for_delta(
@@ -169,9 +174,9 @@ def curve_point_for_delta(
         )
     if d == 0.0:
         return CurvePoint(t=0.0, delta=0.0, l_value=0.0)
-    if d > delta_max():
+    if d > _DELTA_MAX:
         raise DomainError(
-            f"delta = {d} is beyond delta({T_MAX}) = {delta_max():.15g}; the "
+            f"delta = {d} is beyond delta({T_MAX}) = {_DELTA_MAX:.15g}; the "
             "curve approaches 2 only asymptotically and the bound diverges"
         )
     # run the bisection to bracket collapse: delta'(t) <= 1 everywhere, so
@@ -192,40 +197,43 @@ def vajda_lower_bound_array(delta: np.ndarray) -> np.ndarray:
 
     Every delta must lie in [0, delta_max()]. Newton's method climbs the
     concave delta(t) from t0 = delta, or 1/(2 - delta) if delta >= 1 (delta(t)
-    <= t, and <= 2 - 1/t for t >= 1) until one pass after all steps are within
-    1e-12 t. L matches the scalar driver to 1e-14 relative from 1e-40 up, and
-    delta^2/2 below (to 1e-15 relative, or the smallest normal double).
+    <= t, and <= 2 - 1/t for t >= 1) in a fixed _NEWTON_PASSES passes; one
+    more would move no L by 1e-14 relative. L matches the scalar driver to
+    1e-14 relative from 1e-40 up, and delta^2/2 below (to 1e-15 relative, or
+    the smallest normal double).
     """
     import numpy as np
     d = np.asarray(delta, dtype=float)
     if d.ndim != 1:
         raise DomainError(f"deltas must form a 1-D array, got shape {d.shape}")
-    if not np.all((d >= 0.0) & (d <= delta_max())):
+    if not np.all((d >= 0.0) & (d <= _DELTA_MAX)):
         raise DomainError(
-            f"every delta must lie in [0, {delta_max():.15g}] on the variational scale"
+            f"every delta must lie in [0, {_DELTA_MAX:.15g}] on the variational scale"
         )
-    t, last = np.where(d < 1.0, d, 1.0 / (2.0 - d)), False
-    for _ in range(_NEWTON_MAX_PASSES):
+    t = np.where(d < 1.0, d, 1.0 / (2.0 - d))
+    for _ in range(_NEWTON_PASSES):
         slope = np.where(t < _SMALL_T, _slope_series(t), _slope(t.clip(_SMALL_T), np))
-        step = (d - _delta_at_array(t)) / slope
-        t = np.minimum(t + step, T_MAX)
-        if last:
-            break
-        last = bool(np.all(np.abs(step) <= 1e-12 * t))
-    else:
-        raise RuntimeError(f"delta(t) took over {_NEWTON_MAX_PASSES} Newton passes")
+        t = np.minimum(t + (d - _delta_at_array(t)) / slope, T_MAX)
     return np.where(t < _L_SERIES_T, _l_series(t * t), _l_closed(t.clip(_L_SERIES_T), np))
 
 
-def _gamma_objective(g: float, d: float) -> float:
-    # ((d+2-g)/4) log((g-2-d)/(g-2+d)) + ((g+2-d)/4) log((g+2-d)/(g+2+d));
-    # the second coefficient and its log argument vanish together at the
-    # left endpoint, where the term's limit is 0.
-    first = (d + 2.0 - g) / 4.0 * math.log((g - 2.0 - d) / (g - 2.0 + d))
-    c2 = (g + 2.0 - d) / 4.0
-    if c2 <= 0.0:
-        return first
-    return first + c2 * math.log((g + 2.0 - d) / (g + 2.0 + d))
+def _gamma_objective(d: float):
+    # g -> ((d+2-g)/4) log((g-2-d)/(g-2+d)) + ((g+2-d)/4) log((g+2-d)/(g+2+d)),
+    # each sum formed once per delta or per g, in the order written; the
+    # second coefficient and its log argument vanish together at the left
+    # endpoint, where the term's limit is 0.
+    d2, log = d + 2.0, math.log
+
+    def objective(g: float) -> float:
+        gm, gp = g - 2.0, g + 2.0
+        gpd = gp - d
+        first = (d2 - g) / 4.0 * log((gm - d) / (gm + d))
+        c2 = gpd / 4.0
+        if c2 <= 0.0:
+            return first
+        return first + c2 * log(gpd / (gp + d))
+
+    return objective
 
 
 def reid_lower_bound(
@@ -236,6 +244,14 @@ def reid_lower_bound(
     Golden-section search on [delta - 2, 2 - delta], clamped inward by
     1e-13 of the interval width because the objective's derivative has log
     singularities at the endpoints.
+
+    Contract: value is within 1e-6 (absolute) of ``vajda_lower_bound`` for
+    delta in [0, 1.9]. Nearer 2 it exceeds the minimum by up to about
+    1e-12 / (2 - delta): the search stops at a gamma bracket of 1e-12, where
+    the objective's slope grows as 1/(2 - delta). At delta = 1e-8 and 1e-12
+    it returns 0, where L is 5e-17 and 5e-25: near the minimizer the
+    objective's two O(delta) terms cancel. ROADMAP item 12 plans its
+    replacement.
     """
     d = convert_tv(delta, conv, TvConvention.VARIATIONAL)
     if d >= 2.0:
@@ -244,9 +260,7 @@ def reid_lower_bound(
         )
     lo, hi = d - 2.0, 2.0 - d
     eps = 1e-13 * (hi - lo)
-    gamma, value = golden_section_minimize(
-        lambda g: _gamma_objective(g, d), lo + eps, hi - eps
-    )
+    gamma, value = golden_section_minimize(_gamma_objective(d), lo + eps, hi - eps)
     return GammaSearchResult(gamma_star=gamma, value=max(value, 0.0))
 
 

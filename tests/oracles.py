@@ -15,8 +15,8 @@ whose own tests use the mpmath values here; and the exhaustive TV
 convention scan evaluates U through ``pinsker._upper``, the formula whose
 scale it checks from below, as ``divbounds verify``'s upper attainment
 rows check it at the pairs that attain U. Frozen copies of former library code (the discrete
-kernels, the row-major batched sandwich checker, ``kl_gaussian_1d``'s body) and search results recorded from an
-earlier version guard rewrites that must stay bit-identical.
+kernels, the row-major batched sandwich checker, ``kl_gaussian_1d``'s body) and search results and scalar solver outputs
+recorded from an earlier version guard rewrites that must stay bit-identical.
 """
 
 import math
@@ -86,6 +86,25 @@ VAJDA_REF = (
     (1.995, 5.991464547108003),
     (1.997, 6.502290170874009),
     (1.998, 6.907755278982136),
+)
+
+# The scalar solvers' outputs, every bit, recorded from the library before
+# a rewrite that must leave them unchanged: per delta, reid_lower_bound's
+# (gamma_star, value) and vajda_lower_bound's value (None beyond
+# delta_max()), every float as float.hex(). reid's values at 1e-12 and
+# 1e-8 are its clamped 0, and the last two deltas lie past delta_max().
+DELTA_MAX_HEX = "0x1.ff7ced916872bp+0"
+SCALAR_SOLVER_HEX = (
+    (1e-12, "0x1.0a58de68d948ep+0", "0x0.0p+0", "0x1.357c299a88ea5p-81"),
+    (1e-08, "0x1.949feedf37e9cp-4", "0x0.0p+0", "0x1.cd2b297d889bdp-55"),
+    (1e-04, "0x1.6aefbfb0ff0a8p-12", "0x1.5798ee26c4000p-28", "0x1.5798ee263c9eap-28"),
+    (0.05, "-0x1.1101130d779a9p-6", "0x1.47b9bc173fd20p-10", "0x1.47b9bc173fefbp-10"),
+    (0.3, "-0x1.9647c3a4182f0p-4", "0x1.728173d9904c0p-5", "0x1.728173d9904cdp-5"),
+    (1.0, "-0x1.31a47cfbfe538p-2", "0x1.108959fcd7352p-1", "0x1.108959fcd7355p-1"),
+    (1.5, "-0x1.5e30c770cb5bcp-2", "0x1.56f6b88fe6cc8p+0", "0x1.56f6b88fe6cc7p+0"),
+    (1.9, "-0x1.99996f8f41d96p-4", "0x1.7f74276324e19p+1", "0x1.7f74276324e25p+1"),
+    (2 - 1e-6, "-0x1.0c6f759420812p-20", "0x1.d046ecdc25e80p+3", None),
+    (2 - 1e-12, "-0x1.8eb80431b14d6p-41", "0x1.c7b5413c63781p+4", None),
 )
 
 # sup-convention TV between N(0,1) and N(1,1): 2 Phi(1/2) - 1

@@ -188,24 +188,22 @@ class TestVajdaLowerBoundArray:
             assert abs(value - ref) <= tol, d
 
     def test_whole_domain_in_six_passes_without_warnings(self, monkeypatch):
-        # the pass cap raises, so a clean return under a cap of 6 shows the
-        # documented pass count; the real cap leaves room above it
-        monkeypatch.setattr(vajda, "_NEWTON_MAX_PASSES", 6)
+        # the driver runs a fixed number of passes; one more must move no L
+        # beyond the 1e-14 relative contract
         deltas = np.concatenate([
             [0.0],
             np.geomspace(5e-324, delta_max(), 20000),
             np.linspace(0.0, delta_max(), 20000),
         ])
+        assert vajda._NEWTON_PASSES == 6
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = vajda_lower_bound_array(deltas)
+            monkeypatch.setattr(vajda, "_NEWTON_PASSES", 7)
+            seventh = vajda_lower_bound_array(deltas)
+        assert np.all(np.abs(seventh - got) <= 1e-14 * seventh)
         order = np.argsort(deltas, kind="stable")
         assert np.all(np.isfinite(got)) and np.all(np.diff(got[order]) >= 0)
-
-    def test_pass_cap_raises_instead_of_returning(self, monkeypatch):
-        monkeypatch.setattr(vajda, "_NEWTON_MAX_PASSES", 2)
-        with pytest.raises(RuntimeError, match="over 2 Newton passes"):
-            vajda_lower_bound_array(np.array([0.5, 1.5]))
 
     @pytest.mark.parametrize(
         "deltas", [[-1e-3], [1.9999999], [float("nan")], [[0.5, 0.6]]]
@@ -284,6 +282,31 @@ class TestReidLowerBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             reid_lower_bound(2.0)
+
+    def test_within_contract_of_the_curve(self):
+        deltas = np.concatenate([[0.0], np.geomspace(1e-12, 1.9, 100), np.linspace(0.0, 1.9, 100)])
+        for d in map(float, deltas):
+            assert abs(reid_lower_bound(d).value - vajda_lower_bound(d)) <= 1e-6, d
+
+    @pytest.mark.parametrize("d", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_minimizer_is_the_closed_form(self, d):
+        # gamma* = 2 (coth t - 1/t) - delta(t) at the curve's own parameter
+        point = curve_point_for_delta(d)
+        t = point.t
+        closed = 2.0 * (1.0 / math.tanh(t) - 1.0 / t) - point.delta
+        assert abs(reid_lower_bound(d).gamma_star - closed) <= 1e-6
+
+
+class TestScalarSolverBits:
+    def test_outputs_equal_the_frozen_bits(self):
+        assert delta_max() == float.fromhex(oracles.DELTA_MAX_HEX)
+        for d, gamma_hex, value_hex, curve_hex in oracles.SCALAR_SOLVER_HEX:
+            res = reid_lower_bound(d)
+            assert (res.gamma_star.hex(), res.value.hex()) == (gamma_hex, value_hex), d
+            if curve_hex is None:
+                assert d > delta_max()
+            else:
+                assert vajda_lower_bound(d).hex() == curve_hex, d
 
 
 class TestPolyLowerBound:
