@@ -9,12 +9,13 @@ BISECT_MAX_ITER = 200
 _GOLDEN_X_TOL = 1e-12
 
 
-def bisect_increasing(f, target: float, lo: float, hi: float) -> tuple[float, float]:
+def bisect_increasing(f, target: float, lo: float, hi: float) -> float:
     """Solve f(x) = target for increasing f on (lo, hi) by bisection.
 
     Halves the bracket until its midpoint equals an endpoint (the bracket
     has collapsed to adjacent doubles) or ``BISECT_MAX_ITER`` halvings have
-    been spent. The endpoints themselves are never evaluated. Returns (x, f(x)).
+    been spent; returns that midpoint. Neither endpoint is evaluated, nor a
+    collapsed midpoint.
     """
     mid = 0.5 * (lo + hi)
     fm = f(mid)
@@ -27,7 +28,7 @@ def bisect_increasing(f, target: float, lo: float, hi: float) -> tuple[float, fl
         if mid == lo or mid == hi:
             break
         fm = f(mid)
-    return mid, fm
+    return mid
 
 
 def golden_section_minimize(f, a: float, b: float) -> tuple[float, float]:

